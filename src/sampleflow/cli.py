@@ -10,7 +10,10 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__, features, flows, ingest, pipeline, sampling, synth
+import numpy as np
+
+from . import (__version__, features, flows, ingest, manifest, pipeline,
+               sampling, synth)
 from .manifest import write_manifest
 from .neural import gradcheck as gc
 from .neural import load_checkpoint, save_checkpoint
@@ -103,7 +106,7 @@ def cmd_stats(args) -> int:
         for f in flow_list:
             vec = features.stat_features(f)
             writer.writerow([f.id, f.label if f.label is not None else "",
-                             *(repr(v) for v in vec)])
+                             *vec.tolist()])
     write_manifest(args.out, "stats", {}, None, [in_path], started)
     print(f"wrote statistics for {len(flow_list)} flows")
     return EXIT_OK
@@ -114,17 +117,16 @@ def cmd_sample(args) -> int:
     in_path = _require(args.flows)
     spec = _parse_sampling(args.method, args.params)
     flow_list = flows.read_flows(in_path)
-    pairs = []
-    for f in flow_list:
-        rng = sampling.derive_rng(args.seed, f.id)
-        for sf in sampling.augment(f, spec, args.window, args.copies, rng):
-            pairs.append((sf, f))
-    sampling.write_sampled(pairs, args.out)
+    samples = [(f, sampling.augment(f, spec, args.window, args.copies,
+                                    sampling.derive_rng(args.seed, f.id)))
+               for f in flow_list]
+    sampling.write_sampled(samples, args.out)
     write_manifest(args.out, "sample",
                    {"sampling": sampling.spec_to_dict(spec),
                     "window": args.window, "copies": args.copies},
                    args.seed, [in_path], started)
-    print(f"wrote {len(pairs)} sampled copies from {len(flow_list)} flows")
+    print(f"wrote {sum(len(idx) for _, idx in samples)} sampled copies "
+          f"from {len(flow_list)} flows")
     return EXIT_OK
 
 
@@ -196,7 +198,7 @@ def cmd_evaluate(args) -> int:
         "seed": cfg.seed,
         "config": cfg.to_dict(),
         "model": str(model_path),
-        "inputs": {str(in_path): None},
+        "inputs": {str(in_path): manifest.sha256_file(in_path)},
     }
     Path(args.report).write_text(json.dumps(payload, indent=2) + "\n",
                                  encoding="utf-8")
@@ -210,19 +212,17 @@ def cmd_evaluate(args) -> int:
 def cmd_baseline_knn(args) -> int:
     train_path = _require(args.train)
     test_path = _require(args.test)
-    train_flows = flows.read_flows(train_path)
-    test_flows = flows.read_flows(test_path)
-    clf = pipeline.knn_baseline(pipeline.flow_stat_vectors(train_flows),
-                                k=args.k)
-    classes = sorted({f.label for f in test_flows})
-    import numpy as np
-    k = len(classes)
+    train = pipeline.flow_stat_vectors(flows.read_flows(train_path))
+    test = pipeline.flow_stat_vectors(flows.read_flows(test_path))
+    if not test:
+        raise pipeline.EmptyEvalError("empty test set")
+    clf = pipeline.knn_baseline(train, k=args.k)
+    classes = sorted({label for _, label in train + test})
     index = {c: i for i, c in enumerate(classes)}
-    confusion = np.zeros((k, k), dtype=int)
-    for f in test_flows:
-        pred = clf.predict(pipeline.flow_stat_vectors([f])[0][0])
-        if pred in index:
-            confusion[index[f.label], index[pred]] += 1
+    confusion = np.zeros((len(classes), len(classes)), dtype=int)
+    preds = clf.predict_many(np.stack([vec for vec, _ in test]))
+    for (_, label), pred in zip(test, preds):
+        confusion[index[label], index[pred]] += 1
     macro, per_class = pipeline.confusion_metrics(confusion, classes)
     print(json.dumps({"k": args.k, "macro_accuracy": macro,
                       "per_class": per_class,
@@ -248,8 +248,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress logging")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="worker threads (0 = auto)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="parse a pcap into the flow file format")

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .flows import Flow
-from .sampling import SampledFlow
 
 MAX_LENGTH_BYTES = 1434.0
 MAX_IAT_SECONDS = 1.0
@@ -45,18 +42,14 @@ def stat_features(flow: Flow) -> np.ndarray:
     IATs are differenced within each direction subset; subsets with fewer than
     two packets get all-zero IAT statistics. Units are bytes and seconds.
     """
-    if not flow.packets:
+    if len(flow) == 0:
         raise EmptyFlowError(f"flow {flow.id} has no packets")
-    times = np.array([p.rel_time for p in flow.packets])
-    signed = np.array([p.signed_length for p in flow.packets], dtype=float)
-    lengths = np.abs(signed)
+    times, signed = flow.times, flow.signed
+    lengths = np.abs(signed).astype(np.float64)
     out = np.empty(NUM_FEATURES)
-    for d, mask in enumerate((signed > 0, signed < 0,
-                              np.ones_like(signed, dtype=bool))):
-        sub_len = lengths[mask]
-        sub_iat = np.diff(times[mask])
-        out[d * 8:d * 8 + 4] = _block(sub_len)
-        out[d * 8 + 4:d * 8 + 8] = _block(sub_iat) if sub_iat.size else np.zeros(4)
+    for d, mask in enumerate((signed > 0, signed < 0, slice(None))):
+        out[d * 8:d * 8 + 4] = _block(lengths[mask])
+        out[d * 8 + 4:d * 8 + 8] = _block(np.diff(times[mask]))
     return out
 
 
@@ -68,39 +61,32 @@ def normalize_targets(stats: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class InputMatrix:
-    data: np.ndarray     # shape (2, window): row 0 IATs, row 1 signed lengths
-    valid_count: int
+def input_matrix(flow: Flow, idx: np.ndarray) -> np.ndarray:
+    """Render a flow's sampled copies as normalized 2-channel network inputs.
 
-    @property
-    def window(self) -> int:
-        return self.data.shape[1]
-
-
-def input_matrix(sf: SampledFlow, source: Flow,
-                 window: int | None = None) -> InputMatrix:
-    """Render a sampled flow as the normalized 2-channel network input.
-
-    Channel 0: inter-arrival times of the sampled packets, clamped at 1 s,
-    first slot 0. Channel 1: signed length / 1434, clamped to [-1, 1].
-    Slots past the last sampled packet stay zero (padding).
+    idx is augment's int64[copies, window] index matrix (rows padded with
+    -1); the result is float64[copies, 2, window]. Channel 0: inter-arrival
+    times of the sampled packets, clamped at 1 s, first slot 0. Channel 1:
+    signed length / 1434, clamped to [-1, 1]. Padding slots stay zero.
     """
-    if window is None:
-        window = sf.window
-    data = np.zeros((2, window))
-    n = len(sf.indices)
-    if n > window:
-        raise InconsistentSampleError("more samples than window slots")
-    flow_len = len(source.packets)
-    prev_t = None
-    for k, j in enumerate(sf.indices):
-        if j >= flow_len:
-            raise InconsistentSampleError(
-                f"sample index {j} out of range for flow of {flow_len} packets")
-        pkt = source.packets[j]
-        data[1, k] = np.clip(pkt.signed_length / MAX_LENGTH_BYTES, -1.0, 1.0)
-        if k > 0:
-            data[0, k] = min(pkt.rel_time - prev_t, MAX_IAT_SECONDS)
-        prev_t = pkt.rel_time
-    return InputMatrix(data=data, valid_count=n)
+    idx = np.asarray(idx)
+    if idx.ndim != 2:
+        raise InconsistentSampleError("indices must be a 2-D copies x window "
+                                      "matrix")
+    valid = idx >= 0
+    if np.any(idx < -1) or np.any(valid[:, 1:] & ~valid[:, :-1]):
+        raise InconsistentSampleError("padding must be -1 after the last "
+                                      "index")
+    if np.any(valid[:, 1:] & (np.diff(idx, axis=1) <= 0)):
+        raise InconsistentSampleError("indices must be strictly increasing")
+    flow_len = len(flow)
+    if idx.size and idx.max() >= flow_len:
+        raise InconsistentSampleError(
+            f"sample index {idx.max()} out of range for flow of {flow_len} "
+            f"packets")
+    safe = np.where(valid, idx, 0)
+    data = np.zeros((idx.shape[0], 2, idx.shape[1]))
+    data[:, 0, 1:] = np.minimum(np.diff(flow.times[safe], axis=1),
+                                MAX_IAT_SECONDS)
+    data[:, 1] = np.clip(flow.signed[safe] / MAX_LENGTH_BYTES, -1.0, 1.0)
+    return np.where(valid[:, None, :], data, 0.0)

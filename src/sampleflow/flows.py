@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Union
+
+import numpy as np
 
 SCHEMA_VERSION = 1
 
@@ -56,22 +58,44 @@ class PacketEvent:
     signed_length: int    # bytes; positive = forward, negative = backward
 
 
-@dataclass
+@dataclass(eq=False)
 class Flow:
+    """One bidirectional flow, stored as two columns of equal length."""
     id: str
     five_tuple: FiveTuple
-    packets: list[PacketEvent] = field(default_factory=list)
+    times: np.ndarray     # float64[n]: seconds since the earliest packet
+    signed: np.ndarray    # int64[n]: bytes; positive = forward
     label: str | None = None
 
+    def __post_init__(self):
+        self.times = np.asarray(self.times, dtype=np.float64)
+        self.signed = np.asarray(self.signed, dtype=np.int64)
+        if self.times.ndim != 1 or self.times.shape != self.signed.shape:
+            raise ValueError("times and signed must be 1-D, of equal length")
+
     def __len__(self) -> int:
-        return len(self.packets)
+        return len(self.times)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Flow):
+            return NotImplemented
+        return (self.id == other.id and self.five_tuple == other.five_tuple
+                and self.label == other.label
+                and np.array_equal(self.times, other.times)
+                and np.array_equal(self.signed, other.signed))
+
+    @property
+    def packets(self) -> tuple[PacketEvent, ...]:
+        """Per-packet view of the columns, for callers outside the package."""
+        return tuple(PacketEvent(t, s) for t, s in
+                     zip(self.times.tolist(), self.signed.tolist()))
 
 
 def filter_short_flows(flows: Iterable[Flow], min_packets: int = 100) -> list[Flow]:
     """Drop flows with fewer than min_packets packets, preserving order."""
     if min_packets < 1:
         raise ValueError("min_packets must be >= 1")
-    return [f for f in flows if len(f.packets) >= min_packets]
+    return [f for f in flows if len(f) >= min_packets]
 
 
 def _flow_to_record(flow: Flow) -> dict:
@@ -86,8 +110,33 @@ def _flow_to_record(flow: Flow) -> dict:
             "proto": flow.five_tuple.protocol,
         },
         "label": flow.label,
-        "pkts": [[p.rel_time, p.signed_length] for p in flow.packets],
+        "pkts": list(zip(flow.times.tolist(), flow.signed.tolist())),
     }
+
+
+def _packet_columns(pkts, line: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (times, signed) columns of [rel_time, length] pairs."""
+    try:
+        pairs = np.array(pkts, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise FlowFormatError(f"bad packet list: {exc}", line) from exc
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        if pairs.size == 0:
+            raise FlowFormatError("flow has no packets", line)
+        raise FlowFormatError("packets must be [rel_time, length] pairs", line)
+    times, lengths = pairs[:, 0].copy(), pairs[:, 1]
+    if not np.isfinite(times).all():
+        raise FlowFormatError("non-finite rel_time", line)
+    if (times < 0).any():
+        raise FlowFormatError(f"negative rel_time {times.min()}", line)
+    if (np.diff(times) < 0).any():
+        raise FlowFormatError("rel_time decreases", line)
+    if not ((np.abs(lengths) < 2.0 ** 53)
+            & (lengths == np.trunc(lengths))).all():
+        raise FlowFormatError("packet length is not an integer", line)
+    if (lengths == 0).any():
+        raise FlowFormatError("zero packet length", line)
+    return times, lengths.astype(np.int64)
 
 
 def _record_to_flow(rec: dict, line: int) -> Flow:
@@ -95,19 +144,9 @@ def _record_to_flow(rec: dict, line: int) -> Flow:
         t = rec["tuple"]
         five = FiveTuple(t["src"], t["dst"], int(t["sport"]), int(t["dport"]),
                          t["proto"])
-        packets = []
-        for rel_time, signed_length in rec["pkts"]:
-            rel_time = float(rel_time)
-            signed_length = int(signed_length)
-            if rel_time < 0:
-                raise FlowFormatError(f"negative rel_time {rel_time}", line)
-            if abs(signed_length) < 1:
-                raise FlowFormatError("zero packet length", line)
-            packets.append(PacketEvent(rel_time, signed_length))
-        if not packets:
-            raise FlowFormatError("flow has no packets", line)
-        return Flow(id=str(rec["id"]), five_tuple=five, packets=packets,
-                    label=rec.get("label"))
+        times, signed = _packet_columns(rec["pkts"], line)
+        return Flow(id=str(rec["id"]), five_tuple=five, times=times,
+                    signed=signed, label=rec.get("label"))
     except FlowFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -159,6 +198,8 @@ def read_flows(source: Sink) -> list[Flow]:
             rec = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise FlowFormatError(f"bad JSON: {exc}", lineno) from exc
+        if not isinstance(rec, dict):
+            raise FlowFormatError("flow record is not an object", lineno)
         if rec.get("v") != SCHEMA_VERSION:
             raise FlowVersionError(f"unsupported schema version {rec.get('v')}",
                                    lineno)

@@ -7,7 +7,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Union
 
-from .flows import FiveTuple, Flow, PacketEvent
+import numpy as np
+
+from .flows import FiveTuple, Flow
 
 PCAP_GLOBAL_HEADER_LEN = 24
 PCAP_RECORD_HEADER_LEN = 16
@@ -124,15 +126,20 @@ def decode_packet(raw: RawPacket,
 @dataclass
 class _OpenFlow:
     tuple_first: FiveTuple
-    first_ts: float
     last_ts: float
     arrival_index: int
-    events: list[PacketEvent]
+    stamps: list[float] = field(default_factory=list)
+    signed: list[int] = field(default_factory=list)
 
 
 def assemble_flows(packets: Iterable[tuple[FiveTuple, int, float]],
                    idle_timeout: float = 60.0) -> list[Flow]:
-    """Group decoded packets into bidirectional flows split on idle gaps."""
+    """Group decoded packets into bidirectional flows split on idle gaps.
+
+    The first packet to arrive sets a flow's forward direction. Its packets
+    are then stable-sorted by capture timestamp, and rel_time counts from
+    the earliest one, so reordered captures give no negative gaps.
+    """
     if idle_timeout <= 0:
         raise ValueError("idle_timeout must be > 0")
     open_flows: dict[tuple, _OpenFlow] = {}
@@ -146,10 +153,14 @@ def assemble_flows(packets: Iterable[tuple[FiveTuple, int, float]],
         t = of.tuple_first
         fid = (f"{t.src_addr}:{t.src_port}-{t.dst_addr}:{t.dst_port}"
                f"/{t.protocol}#{seq}")
+        stamps = np.array(of.stamps)
+        order = np.argsort(stamps, kind="stable")
         closed.append((of.arrival_index,
-                       Flow(id=fid, five_tuple=t, packets=of.events)))
+                       Flow(id=fid, five_tuple=t,
+                            times=stamps[order] - stamps[order[0]],
+                            signed=np.array(of.signed)[order])))
 
-    for five, _length, ts in packets:
+    for five, length, ts in packets:
         key = five.canonical_key()
         of = open_flows.get(key)
         if of is not None and ts - of.last_ts > idle_timeout:
@@ -157,15 +168,12 @@ def assemble_flows(packets: Iterable[tuple[FiveTuple, int, float]],
             del open_flows[key]
             of = None
         if of is None:
-            of = _OpenFlow(tuple_first=five, first_ts=ts, last_ts=ts,
-                           arrival_index=arrival, events=[])
+            of = _OpenFlow(tuple_first=five, last_ts=ts, arrival_index=arrival)
             open_flows[key] = of
         forward = (five.src_addr, five.src_port) == (of.tuple_first.src_addr,
                                                      of.tuple_first.src_port)
-        signed = _length if forward else -_length
-        # reordered packets can predate the flow start; clamp to keep rel_time >= 0
-        rel = max(0.0, ts - of.first_ts)
-        of.events.append(PacketEvent(rel, signed))
+        of.stamps.append(ts)
+        of.signed.append(length if forward else -length)
         of.last_ts = max(of.last_ts, ts)
         arrival += 1
 

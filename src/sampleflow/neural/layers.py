@@ -147,12 +147,10 @@ class BatchNorm1d(Layer):
         g = self.gamma.value[None, :, None]
         dxhat = dy3 * g
         if batch_stats:
-            m = dy3.shape[0] * dy3.shape[2]
             mean_dxhat = dxhat.mean(axis=(0, 2))[None, :, None]
             mean_dxhat_xhat = (dxhat * xhat).mean(axis=(0, 2))[None, :, None]
             dx = inv_std[None, :, None] * (dxhat - mean_dxhat
                                            - xhat * mean_dxhat_xhat)
-            del m
         else:
             dx = dxhat * inv_std[None, :, None]
         return dx[:, :, 0] if squeezed else dx

@@ -79,12 +79,13 @@ def build_regression_dataset(flows: list[Flow], cfg: TrainConfig
     for flow in flows:
         target = normalize_targets(stat_features(flow))
         rng = derive_rng(cfg.seed, flow.id)
-        for sf in augment(flow, cfg.sampling, cfg.window, cfg.copies, rng):
-            xs.append(input_matrix(sf, flow).data)
-            ys.append(target)
+        x = input_matrix(flow, augment(flow, cfg.sampling, cfg.window,
+                                       cfg.copies, rng))
+        xs.append(x)
+        ys.append(np.broadcast_to(target, (len(x), len(target))))
     if not xs:
         raise EmptyDatasetError("no sampled copies could be built")
-    return np.stack(xs), np.stack(ys)
+    return np.concatenate(xs), np.concatenate(ys)
 
 
 def build_classification_dataset(flows: list[Flow], classes: list[str],
@@ -97,13 +98,14 @@ def build_classification_dataset(flows: list[Flow], classes: list[str],
         if flow.label not in class_index:
             raise LabelError(f"flow {flow.id} has unknown label {flow.label!r}")
         rng = derive_rng(cfg.seed, flow.id)
-        for sf in augment(flow, cfg.sampling, cfg.window, cfg.copies, rng):
-            xs.append(input_matrix(sf, flow).data)
-            ys.append(class_index[flow.label])
-            ids.append(flow.id)
+        x = input_matrix(flow, augment(flow, cfg.sampling, cfg.window,
+                                       cfg.copies, rng))
+        xs.append(x)
+        ys.append(np.full(len(x), class_index[flow.label]))
+        ids += [flow.id] * len(x)
     if not xs:
         raise EmptyDatasetError("no sampled copies could be built")
-    return np.stack(xs), np.array(ys, dtype=int), ids
+    return np.concatenate(xs), np.concatenate(ys), ids
 
 
 def _train_network(net: Network, x: np.ndarray, y: np.ndarray, loss_fn,
@@ -201,8 +203,8 @@ def classify(model: Network, flow: Flow, cfg: TrainConfig,
     if classes is None:
         raise ValueError("model carries no class list")
     rng = derive_rng(cfg.seed, flow.id)
-    copies = augment(flow, cfg.sampling, cfg.window, cfg.copies, rng)
-    x = np.stack([input_matrix(sf, flow).data for sf in copies])
+    x = input_matrix(flow, augment(flow, cfg.sampling, cfg.window, cfg.copies,
+                                   rng))
     preds = _predict_batched(model, x)
     if vote == "per_sample":
         return [classes[i] for i in preds]
@@ -264,28 +266,20 @@ def evaluate(model: Network, test_flows: list[Flow], classes: list[str],
     np.add.at(confusion, (y, preds), 1)
     macro, per_class = confusion_metrics(confusion, classes)
 
-    id_order = []
-    by_flow: dict[str, list[tuple[int, int]]] = {}
-    for fid, t, p in zip(ids, y, preds):
-        if fid not in by_flow:
-            by_flow[fid] = []
-            id_order.append(fid)
-        by_flow[fid].append((t, p))
-    votes_right = 0
-    for fid in id_order:
-        pairs = by_flow[fid]
-        true = pairs[0][0]
-        counts = np.bincount([p for _, p in pairs], minlength=k)
-        if int(counts.argmax()) == true:
-            votes_right += 1
+    # flow-level vote: modal copy prediction (ties: lowest class index)
+    # against the label of the flow's first copy
+    _, first, flow_of = np.unique(ids, return_index=True, return_inverse=True)
+    votes = np.zeros((len(first), k), dtype=int)
+    np.add.at(votes, (flow_of, preds), 1)
+    votes_right = int((votes.argmax(axis=1) == y[first]).sum())
     return EvalReport(
         classes=list(classes),
         macro_accuracy=macro,
         per_class=per_class,
         confusion=confusion.tolist(),
         n_sampled=int(x.shape[0]),
-        n_flows=len(id_order),
-        flow_majority_accuracy=votes_right / len(id_order),
+        n_flows=len(first),
+        flow_majority_accuracy=votes_right / len(first),
     )
 
 
@@ -351,4 +345,8 @@ def knn_baseline(train_stats: list[tuple[np.ndarray, str]],
 
 
 def flow_stat_vectors(flows: list[Flow]) -> list[tuple[np.ndarray, str]]:
+    """(normalized statistics, label) per flow; every flow must be labeled."""
+    for f in flows:
+        if f.label is None:
+            raise LabelError(f"flow {f.id} has no label")
     return [(normalize_targets(stat_features(f)), f.label) for f in flows]

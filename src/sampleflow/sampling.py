@@ -15,6 +15,9 @@ from .flows import Flow
 
 DEFAULT_WINDOW = 45
 DEFAULT_MAX_COPIES = 100
+# most uniform draws random sampling takes in its first block (copies x
+# flow length is enough for every copy); doubled while a copy needs more
+_RANDOM_BLOCK = 1 << 16
 
 
 class InvalidStartError(ValueError):
@@ -129,24 +132,55 @@ def window_span(spec: SamplingSpec, window: int) -> int:
     raise TypeError("window_span is undefined for random sampling")
 
 
-@dataclass(frozen=True)
-class SampledFlow:
-    flow_id: str
-    indices: tuple[int, ...]
-    window: int
-    label: str | None = None
+def _incremental_rows(spec: Incremental, starts: np.ndarray, flow_len: int,
+                      window: int) -> np.ndarray:
+    """sample_indices for each start, as rows padded with -1.
 
-    def __post_init__(self):
-        if len(self.indices) > self.window:
-            raise ValueError("more indices than window slots")
-        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
-            raise ValueError("indices must be strictly increasing")
+    Positions are summed left to right from float(start), step by step, as
+    sample_indices does, so they round the same way.
+    """
+    steps = []
+    step = float(spec.initial_step)
+    for k in range(1, window):
+        if k % spec.stage_len == 0:
+            step *= spec.growth
+        steps.append(step)
+    terms = np.empty((len(starts), window))
+    terms[:, 0] = starts
+    terms[:, 1:] = steps
+    idx = np.floor(np.cumsum(terms, axis=1) + 0.5)
+    return np.where(idx < flow_len, idx, -1).astype(np.int64)
+
+
+def _random_rows(spec: Random, flow_len: int, window: int, copies: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """sample_indices from start 0, copies times in a row, from one block of
+    draws. The generator ends where the scalar loops would leave it."""
+    state = rng.bit_generator.state
+    draws = rng.random(min(copies * flow_len, _RANDOM_BLOCK))
+    rows = np.full((copies, window), -1, dtype=np.int64)
+    used = 0
+    for c in range(copies):
+        while True:
+            scan = draws[used:used + flow_len]
+            hits = np.flatnonzero(scan < spec.probability)[:window]
+            if len(hits) == window or len(scan) == flow_len:
+                break
+            draws = np.concatenate([draws, rng.random(len(draws))])
+        rows[c, :len(hits)] = hits
+        used += int(hits[-1]) + 1 if len(hits) == window else flow_len
+    rng.bit_generator.state = state
+    rng.bit_generator.advance(used)
+    return rows
 
 
 def augment(flow: Flow, spec: SamplingSpec, window: int = DEFAULT_WINDOW,
             max_copies: int = DEFAULT_MAX_COPIES,
-            rng: np.random.Generator | None = None) -> list[SampledFlow]:
+            rng: np.random.Generator | None = None) -> np.ndarray:
     """Sample one flow up to max_copies times.
+
+    Returns int64[copies, window] packet indices, one copy per row, each row
+    equal to sample_indices for its start and padded with -1.
 
     Random restarts at index 0 with fresh randomness each copy; fixed and
     incremental shift the start offset over an even schedule instead, since
@@ -154,28 +188,28 @@ def augment(flow: Flow, spec: SamplingSpec, window: int = DEFAULT_WINDOW,
     """
     if max_copies < 1:
         raise ValueError("max_copies must be >= 1")
-    flow_len = len(flow.packets)
-
-    def make(indices: list[int]) -> SampledFlow:
-        return SampledFlow(flow_id=flow.id, indices=tuple(indices),
-                           window=window, label=flow.label)
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    flow_len = len(flow)
+    if flow_len == 0:
+        raise InvalidStartError(f"flow {flow.id} has no packets")
 
     if isinstance(spec, Random):
         if rng is None:
             raise ValueError("random sampling requires an rng")
-        return [make(sample_indices(spec, 0, flow_len, window, rng))
-                for _ in range(max_copies)]
+        return _random_rows(spec, flow_len, window, max_copies, rng)
 
     span = window_span(spec, window)
     if span > flow_len:
-        return [make(sample_indices(spec, 0, flow_len, window))]
-    delta = max(1, (flow_len - span) // max_copies)
-    copies = []
-    start = 0
-    while start + span <= flow_len and len(copies) < max_copies:
-        copies.append(make(sample_indices(spec, start, flow_len, window)))
-        start += delta
-    return copies
+        starts = np.zeros(1, dtype=np.int64)
+    else:
+        delta = max(1, (flow_len - span) // max_copies)
+        starts = delta * np.arange(min(max_copies,
+                                       (flow_len - span) // delta + 1))
+    if isinstance(spec, Fixed):
+        idx = starts[:, None] + spec.step * np.arange(window)
+        return np.where(idx < flow_len, idx, -1)
+    return _incremental_rows(spec, starts, flow_len, window)
 
 
 def derive_rng(master_seed: int, flow_id: str) -> np.random.Generator:
@@ -184,24 +218,28 @@ def derive_rng(master_seed: int, flow_id: str) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest[:8], "big"))
 
 
-def write_sampled(samples: Iterable[tuple[SampledFlow, Flow]],
+def write_sampled(samples: Iterable[tuple[Flow, np.ndarray]],
                   sink: Union[str, Path, IO[str]]) -> None:
-    """Sampled-flow file: one JSON record per copy with realized packets."""
+    """Sampled-flow file: one JSON record per copy with realized packets.
+
+    samples pairs each flow with its augment index matrix.
+    """
     from .flows import _open_for
 
     fh, owned = _open_for(sink, "w")
     try:
         fh.write(json.dumps({"v": 1, "format": "sampled"}) + "\n")
-        for sf, flow in samples:
-            pkts = [[flow.packets[i].rel_time, flow.packets[i].signed_length]
-                    for i in sf.indices]
-            fh.write(json.dumps({
-                "flow_id": sf.flow_id,
-                "label": sf.label,
-                "indices": list(sf.indices),
-                "window": sf.window,
-                "pkts": pkts,
-            }) + "\n")
+        for flow, idx in samples:
+            for row in idx:
+                row = row[row >= 0]
+                fh.write(json.dumps({
+                    "flow_id": flow.id,
+                    "label": flow.label,
+                    "indices": row.tolist(),
+                    "window": idx.shape[1],
+                    "pkts": list(zip(flow.times[row].tolist(),
+                                     flow.signed[row].tolist())),
+                }) + "\n")
     finally:
         if owned:
             fh.close()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import FiveTuple, Flow, PacketEvent
+from .flows import FiveTuple, Flow
 
 PREFIX_LEN = 200
 MOTIF_LEN = 40
@@ -141,11 +141,9 @@ def generate(num_classes: int, flows_per_class: int, seed: int,
     for c, profile in enumerate(profiles):
         for f in range(flows_per_class):
             times, signed = _generate_flow(profile, _flow_rng(seed, c, f))
-            packets = [PacketEvent(float(t), int(s))
-                       for t, s in zip(times, signed)]
             five = FiveTuple(f"10.{c}.{f // 250}.{f % 250 + 1}",
                              "192.0.2.1", 40000 + f % 20000, 443, "udp")
             flows.append(Flow(id=f"synth-{profile.label}-{f}",
-                              five_tuple=five, packets=packets,
+                              five_tuple=five, times=times, signed=signed,
                               label=profile.label))
     return flows

@@ -1,9 +1,13 @@
+import csv
+import hashlib
 import json
 
 import pytest
 
 from sampleflow.cli import main
-from sampleflow.flows import read_flows
+from sampleflow.features import FEATURE_NAMES, stat_features
+from sampleflow.flows import read_flows, write_flows
+from sampleflow.synth import generate
 from tests import pcaputil as pc
 
 
@@ -55,6 +59,23 @@ class TestExitCodes:
         code, _, err = run(capsys, "stats", "--flows", str(f),
                            "--out", str(tmp_path / "o.csv"))
         assert code == 2
+
+    @pytest.mark.parametrize("old, new", [("0.0, ", "NaN, "),
+                                          ("0.0, ", "1e9, ")],
+                             ids=["nan-time", "decreasing-time"])
+    def test_invalid_packet_times_are_data_errors(self, capsys, tmp_path,
+                                                   old, new):
+        # a NaN time, then a first packet later than the second
+        f = tmp_path / "bad.flows"
+        write_flows(generate(2, 1, seed=5), f)
+        header, first, second = f.read_text().splitlines()
+        first = first.replace(old, new, 1)
+        assert new in first
+        f.write_text("\n".join([header, first, second]) + "\n")
+        code, _, err = run(capsys, "stats", "--flows", str(f),
+                           "--out", str(tmp_path / "o.csv"))
+        assert code == 2
+        assert "line 2" in err
 
 
 class TestIngestCommand:
@@ -115,6 +136,14 @@ class TestPipelineRoundTrip:
         header = out.read_text().splitlines()[0]
         assert header.startswith("flow_id,label,f_fwd_len_min")
         assert len(out.read_text().splitlines()) == 9  # header + 8 flows
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["flow_id", "label", *FEATURE_NAMES]
+        for row, flow in zip(rows[1:], read_flows(flows_path)):
+            assert row[:2] == [flow.id, flow.label]
+            # plain decimal cells that round-trip to the exact statistics
+            assert [float(v) for v in row[2:]] == \
+                stat_features(flow).tolist()
 
     def test_sample(self, capsys, workspace):
         root, flows_path, _ = workspace
@@ -151,6 +180,8 @@ class TestPipelineRoundTrip:
         assert payload["classes"] == ["c0", "c1"]
         assert 0.0 <= payload["macro_accuracy"] <= 1.0
         assert payload["manifest"]["seed"] == 3
+        digest = hashlib.sha256(flows_path.read_bytes()).hexdigest()
+        assert payload["manifest"]["inputs"] == {str(flows_path): digest}
 
     def test_evaluate_missing_model_names_path(self, capsys, workspace):
         root, flows_path, _ = workspace
@@ -182,6 +213,32 @@ class TestPipelineRoundTrip:
         payload = json.loads(stdout)
         # k=1 on identical train and test memorizes perfectly
         assert payload["macro_accuracy"] == 1.0
+
+    def test_baseline_knn_counts_classes_missing_from_test(self, capsys,
+                                                           tmp_path):
+        corpus = generate(3, 4, seed=5)
+        train, test = tmp_path / "train.flows", tmp_path / "test.flows"
+        write_flows(corpus, train)
+        write_flows([f for f in corpus if f.label != "c2"], test)
+        code, stdout, _ = run(capsys, "baseline-knn", "--train", str(train),
+                              "--test", str(test), "--k", "3")
+        assert code == 0
+        payload = json.loads(stdout)
+        assert sorted(payload["per_class"]) == ["c0", "c1", "c2"]
+        assert len(payload["confusion"]) == 3
+        assert sum(map(sum, payload["confusion"])) == 8  # every test flow
+
+    def test_baseline_knn_unlabeled_flow_is_data_error(self, capsys,
+                                                       tmp_path):
+        corpus = generate(2, 3, seed=5)
+        corpus[1].label = None
+        train, test = tmp_path / "train.flows", tmp_path / "test.flows"
+        write_flows(corpus, train)
+        write_flows(corpus, test)
+        code, _, err = run(capsys, "baseline-knn", "--train", str(train),
+                           "--test", str(test))
+        assert code == 2
+        assert corpus[1].id in err
 
 
 def test_gradcheck_single_seed(capsys):

@@ -3,18 +3,41 @@ import math
 import numpy as np
 import pytest
 
-from sampleflow.features import (FEATURE_NAMES, EmptyFlowError,
-                                 InconsistentSampleError, InputMatrix,
-                                 input_matrix, normalize_targets,
-                                 stat_features)
-from sampleflow.flows import FiveTuple, Flow, PacketEvent
-from sampleflow.sampling import SampledFlow
+from sampleflow.features import (FEATURE_NAMES, MAX_IAT_SECONDS,
+                                 MAX_LENGTH_BYTES, EmptyFlowError,
+                                 InconsistentSampleError, input_matrix,
+                                 normalize_targets, stat_features)
+from sampleflow.flows import FiveTuple, Flow
+from sampleflow.sampling import (Fixed, Incremental, Random, augment,
+                                 derive_rng)
 
 
 def make_flow(events, fid="f"):
     return Flow(id=fid,
                 five_tuple=FiveTuple("1.1.1.1", "2.2.2.2", 1, 2, "udp"),
-                packets=[PacketEvent(t, s) for t, s in events])
+                times=[t for t, _ in events], signed=[s for _, s in events])
+
+
+def rows(window, *copies):
+    """Index matrix with one row per copy, padded with -1."""
+    idx = np.full((len(copies), window), -1)
+    for r, copy in enumerate(copies):
+        idx[r, :len(copy)] = copy
+    return idx
+
+
+def brute_force_input(flow, indices, window):
+    """Per-copy reference: one slot at a time, from the per-packet view."""
+    packets = flow.packets
+    data = np.zeros((2, window))
+    prev_t = None
+    for k, j in enumerate(indices):
+        data[1, k] = min(max(packets[j].signed_length / MAX_LENGTH_BYTES,
+                             -1.0), 1.0)
+        if k > 0:
+            data[0, k] = min(packets[j].rel_time - prev_t, MAX_IAT_SECONDS)
+        prev_t = packets[j].rel_time
+    return data
 
 
 def brute_force_stats(events):
@@ -84,10 +107,7 @@ class TestStatFeatures:
 
     def test_empty_flow_error(self):
         with pytest.raises(EmptyFlowError):
-            stat_features(Flow(id="e",
-                               five_tuple=FiveTuple("1.1.1.1", "2.2.2.2",
-                                                    1, 2, "udp"),
-                               packets=[]))
+            stat_features(make_flow([], fid="e"))
 
     def test_direction_counts_consistent(self):
         rng = np.random.default_rng(3)
@@ -135,33 +155,37 @@ class TestNormalizeTargets:
 class TestInputMatrix:
     def test_hand_example(self):
         flow = make_flow([(0.0, 717), (0.5, -1434)])
-        sf = SampledFlow("f", (0, 1), window=4)
-        m = input_matrix(sf, flow)
-        np.testing.assert_allclose(m.data[1], [0.5, -1.0, 0, 0])
-        np.testing.assert_allclose(m.data[0], [0, 0.5, 0, 0])
-        assert m.valid_count == 2
+        m = input_matrix(flow, rows(4, [0, 1]))
+        assert m.shape == (1, 2, 4)
+        np.testing.assert_allclose(m[0, 1], [0.5, -1.0, 0, 0])
+        np.testing.assert_allclose(m[0, 0], [0, 0.5, 0, 0])
 
     def test_iat_clamped_at_one_second(self):
         flow = make_flow([(0.0, 100), (3.2, 200)])
-        m = input_matrix(SampledFlow("f", (0, 1), window=3), flow)
-        assert m.data[0, 1] == 1.0
+        m = input_matrix(flow, rows(3, [0, 1]))
+        assert m[0, 0, 1] == 1.0
 
     def test_length_clamped(self):
         flow = make_flow([(0.0, 5000), (0.1, -5000)])
-        m = input_matrix(SampledFlow("f", (0, 1), window=2), flow)
-        assert m.data[1, 0] == 1.0
-        assert m.data[1, 1] == -1.0
+        m = input_matrix(flow, rows(2, [0, 1]))
+        assert m[0, 1, 0] == 1.0
+        assert m[0, 1, 1] == -1.0
 
     def test_empty_indices_all_zero(self):
         flow = make_flow([(0.0, 100)])
-        m = input_matrix(SampledFlow("f", (), window=5), flow)
-        assert m.valid_count == 0
-        np.testing.assert_array_equal(m.data, np.zeros((2, 5)))
+        m = input_matrix(flow, rows(5, []))
+        np.testing.assert_array_equal(m, np.zeros((1, 2, 5)))
 
     def test_out_of_range_index(self):
         flow = make_flow([(0.0, 100)])
         with pytest.raises(InconsistentSampleError):
-            input_matrix(SampledFlow("f", (5,), window=8), flow)
+            input_matrix(flow, rows(8, [5]))
+
+    @pytest.mark.parametrize("bad", [[3, 2], [0, 0], [0, -1, 2], [-2]])
+    def test_rejects_malformed_rows(self, bad):
+        flow = make_flow([(0.1 * i, 100) for i in range(5)])
+        with pytest.raises(InconsistentSampleError):
+            input_matrix(flow, np.array([bad]))
 
     def test_ranges_and_padding(self):
         rng = np.random.default_rng(0)
@@ -169,11 +193,11 @@ class TestInputMatrix:
                    (1 if rng.random() < 0.5 else -1)) for i in range(50)]
         events[0] = (0.0, 100)
         flow = make_flow(events)
-        sf = SampledFlow("f", tuple(range(0, 50, 3)), window=45)
-        m = input_matrix(sf, flow)
-        assert np.all(m.data[1] >= -1) and np.all(m.data[1] <= 1)
-        assert np.all(m.data[0] >= 0) and np.all(m.data[0] <= 1)
-        assert np.all(m.data[:, m.valid_count:] == 0)
+        indices = list(range(0, 50, 3))
+        m = input_matrix(flow, rows(45, indices))[0]
+        assert np.all(m[1] >= -1) and np.all(m[1] <= 1)
+        assert np.all(m[0] >= 0) and np.all(m[0] <= 1)
+        assert np.all(m[:, len(indices):] == 0)
 
     def test_unsampled_packets_irrelevant(self):
         events = [(0.1 * i, 100 + i) for i in range(10)]
@@ -181,6 +205,24 @@ class TestInputMatrix:
         events_b = list(events)
         events_b[5] = (0.5, 999)  # index 5 is not sampled
         flow_b = make_flow(events_b)
-        sf = SampledFlow("f", (0, 2, 4), window=5)
-        np.testing.assert_array_equal(input_matrix(sf, flow_a).data,
-                                      input_matrix(sf, flow_b).data)
+        idx = rows(5, [0, 2, 4])
+        np.testing.assert_array_equal(input_matrix(flow_a, idx),
+                                      input_matrix(flow_b, idx))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_batch_equals_per_copy_reference(self, seed):
+        gen = np.random.default_rng(seed)
+        n = int(gen.integers(1, 400))
+        times = np.cumsum(gen.exponential(0.3, n)) - 0.1
+        times[0] = 0.0
+        signed = gen.integers(40, 3000, n) * gen.choice([-1, 1], n)
+        flow = make_flow(list(zip(times.tolist(), signed.tolist())))
+        window = int(gen.integers(1, 60))
+        spec = [Fixed(int(gen.integers(1, 9))), Random(gen.uniform(0.05, 1)),
+                Incremental(int(gen.integers(1, 6)), gen.uniform(1, 2),
+                            int(gen.integers(1, 9)))][seed % 3]
+        idx = augment(flow, spec, window, 30, derive_rng(seed, flow.id))
+        got = input_matrix(flow, idx)
+        want = np.stack([brute_force_input(flow, row[row >= 0], window)
+                         for row in idx])
+        np.testing.assert_array_equal(got, want)

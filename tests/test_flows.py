@@ -1,19 +1,30 @@
 import io
+import json
 
 import pytest
 
 from sampleflow.flows import (FiveTuple, Flow, FlowFormatError,
                               FlowVersionError, PacketEvent,
                               filter_short_flows, read_flows, write_flows)
+from sampleflow.synth import generate
 
 
 def make_flow(n=3, label=None, fid="f0"):
-    pkts = [PacketEvent(0.0, 100)]
-    for i in range(1, n):
-        pkts.append(PacketEvent(0.125 * i, 200 if i % 2 else -300))
     return Flow(id=fid, five_tuple=FiveTuple("10.0.0.1", "10.0.0.2", 1234,
                                              443, "udp"),
-                packets=pkts, label=label)
+                times=[0.125 * i for i in range(n)],
+                signed=[100] + [200 if i % 2 else -300 for i in range(1, n)],
+                label=label)
+
+
+def flow_file(pkts) -> str:
+    """A one-flow file whose record carries the given packet list."""
+    buf = io.StringIO()
+    write_flows([make_flow()], buf)
+    header, record = buf.getvalue().splitlines()
+    rec = json.loads(record)
+    rec["pkts"] = pkts
+    return header + "\n" + json.dumps(rec) + "\n"
 
 
 def roundtrip(flows):
@@ -50,8 +61,10 @@ class TestFlowFile:
         flows = [make_flow(5, "video", "a"), make_flow(1, None, "b"),
                  make_flow(3, "chat", "c")]
         # fractional times that don't have short decimal representations
-        flows[0].packets[1] = PacketEvent(0.1 + 0.2, -77)
+        flows[0].times[2] = 0.1 + 0.2
+        flows[0].signed[2] = -77
         assert roundtrip(flows) == flows
+        assert roundtrip(flows)[0].packets[2] == PacketEvent(0.1 + 0.2, -77)
 
     def test_negative_rel_time_names_line(self):
         buf = io.StringIO()
@@ -59,6 +72,38 @@ class TestFlowFile:
         text = buf.getvalue().replace("0.125", "-0.125")
         with pytest.raises(FlowFormatError, match="line 2"):
             read_flows(io.StringIO(text))
+
+    @pytest.mark.parametrize("pkts, message", [
+        ([[0.0, 100], [float("nan"), 50]], "non-finite"),
+        ([[0.0, 100], [float("inf"), 50]], "non-finite"),
+        ([[0.0, 100], [0.5, 50], [0.25, 50]], "decreases"),
+        ([[0.0, 100], [0.5, 50.5]], "integer"),
+        ([[0.0, 100], [0.5, float("nan")]], "integer"),
+        ([[0.0, 100], [0.5]], "packet"),
+        ([[0.0, 100, 7]], "pairs"),
+        ([[0.0, "x"]], "packet"),
+        ([], "no packets"),
+        ([[0.0, 0]], "zero"),
+    ])
+    def test_bad_packets_rejected(self, pkts, message):
+        with pytest.raises(FlowFormatError, match=message):
+            read_flows(io.StringIO(flow_file(pkts)))
+
+    def test_record_not_an_object(self):
+        with pytest.raises(FlowFormatError, match="line 2"):
+            read_flows(io.StringIO('{"v": 1, "format": "flows"}\n[1, 2]\n'))
+
+    def test_synth_file_rewrites_byte_identical(self):
+        first, second = io.StringIO(), io.StringIO()
+        write_flows(generate(3, 4, seed=5), first)
+        write_flows(read_flows(io.StringIO(first.getvalue())), second)
+        assert first.getvalue() == second.getvalue()
+
+    def test_packets_view_matches_columns(self):
+        flow = make_flow(4)
+        assert [(p.rel_time, p.signed_length) for p in flow.packets] == \
+            list(zip(flow.times.tolist(), flow.signed.tolist()))
+        assert isinstance(flow.packets, tuple)
 
     def test_unknown_version_rejected(self):
         buf = io.StringIO()

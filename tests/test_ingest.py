@@ -1,7 +1,9 @@
 import struct
 
+import numpy as np
 import pytest
 
+from sampleflow.features import FEATURE_NAMES, stat_features
 from sampleflow.flows import FiveTuple
 from sampleflow.ingest import (DecodeStats, RawPacket, TruncatedCaptureError,
                                UnsupportedFormatError, assemble_flows,
@@ -170,6 +172,34 @@ class TestAssembleFlows:
 
     def test_empty_input(self):
         assert assemble_flows([]) == []
+
+    def test_reordered_packets_sorted_by_timestamp(self):
+        # captured out of order: 10.2 arrives after 10.5
+        trace = [pkt("10.0.0.1", "10.0.0.2", 1, 2, 100, 10.0),
+                 pkt("10.0.0.1", "10.0.0.2", 1, 2, 200, 10.5),
+                 pkt("10.0.0.1", "10.0.0.2", 1, 2, 300, 10.2),
+                 pkt("10.0.0.1", "10.0.0.2", 1, 2, 400, 11.0)]
+        [flow] = assemble_flows(trace)
+        assert flow.signed.tolist() == [100, 300, 200, 400]
+        np.testing.assert_allclose(flow.times, [0.0, 0.2, 0.5, 1.0])
+        named = dict(zip(FEATURE_NAMES, stat_features(flow)))
+        assert named["f_fwd_iat_min"] == pytest.approx(0.2)
+
+    def test_time_measured_from_earliest_packet(self):
+        # the first packet to arrive sets the direction, not the clock
+        trace = [pkt("10.0.0.1", "10.0.0.2", 1, 2, 100, 5.0),
+                 pkt("10.0.0.2", "10.0.0.1", 2, 1, 200, 4.5),
+                 pkt("10.0.0.1", "10.0.0.2", 1, 2, 300, 5.5)]
+        [flow] = assemble_flows(trace)
+        assert flow.five_tuple.src_addr == "10.0.0.1"
+        assert flow.signed.tolist() == [-200, 100, 300]
+        assert flow.times.tolist() == [0.0, 0.5, 1.0]
+
+    def test_equal_timestamps_keep_arrival_order(self):
+        trace = [pkt("10.0.0.1", "10.0.0.2", 1, 2, s, 1.0)
+                 for s in (50, 60, 70)]
+        [flow] = assemble_flows(trace)
+        assert flow.signed.tolist() == [50, 60, 70]
 
 
 class TestIngestPcap:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sampleflow.features import normalize_targets, stat_features
-from sampleflow.flows import FiveTuple, Flow, PacketEvent
+from sampleflow.flows import FiveTuple, Flow
 from sampleflow.pipeline import (CoverageError, EmptyDatasetError, KnnClassifier,
                                  LabelError, TrainConfig,
                                  build_classification_dataset,
@@ -21,14 +21,15 @@ from sampleflow.synth import generate
 def make_flow(fid, n=60, label="a", seed=0):
     rng = np.random.default_rng(seed)
     t = 0.0
-    pkts = [PacketEvent(0.0, 100)]
+    times, signed = [0.0], [100]
     for _ in range(n - 1):
         t += float(rng.exponential(0.01))
-        pkts.append(PacketEvent(t, int(rng.integers(40, 1434)) *
-                                (1 if rng.random() < 0.5 else -1)))
+        times.append(t)
+        signed.append(int(rng.integers(40, 1434)) *
+                      (1 if rng.random() < 0.5 else -1))
     return Flow(id=fid, five_tuple=FiveTuple("1.1.1.1", "2.2.2.2", 1, 2,
                                              "udp"),
-                packets=pkts, label=label)
+                times=times, signed=signed, label=label)
 
 
 def tiny_config(**kw):

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sampleflow.flows import FiveTuple, Flow, PacketEvent
+from sampleflow.flows import FiveTuple, Flow
 from sampleflow.sampling import (Fixed, Incremental, InvalidStartError, Random,
-                                 SampledFlow, augment, derive_rng,
-                                 sample_indices, spec_from_dict, spec_to_dict,
-                                 window_span)
+                                 augment, derive_rng, sample_indices,
+                                 spec_from_dict, spec_to_dict, window_span)
 
 
 def rng(seed=0):
@@ -17,11 +16,15 @@ def rng(seed=0):
 
 
 def make_flow(n, fid="f", label=None):
-    pkts = [PacketEvent(0.01 * i, 100 if i % 3 else -200) for i in range(n)]
-    pkts[0] = PacketEvent(0.0, 100)
+    signed = [100 if i % 3 or i == 0 else -200 for i in range(n)]
     return Flow(id=fid, five_tuple=FiveTuple("1.1.1.1", "2.2.2.2", 1, 2,
                                              "udp"),
-                packets=pkts, label=label)
+                times=[0.01 * i for i in range(n)], signed=signed,
+                label=label)
+
+
+def valid(row):
+    return [int(i) for i in row if i >= 0]
 
 
 def simulate(spec, start, flow_len, window, seed=None):
@@ -164,25 +167,26 @@ class TestSampleIndices:
 class TestAugment:
     def test_fixed_offsets_cover_short_tail(self):
         copies = augment(make_flow(46), Fixed(1), window=45, max_copies=100)
-        assert len(copies) == 2
-        assert copies[0].indices[0] == 0
-        assert copies[1].indices[0] == 1
+        assert copies.shape == (2, 45)
+        assert copies[0, 0] == 0
+        assert copies[1, 0] == 1
 
     def test_random_always_max_copies(self):
         copies = augment(make_flow(120), Random(0.5), window=45,
                          max_copies=100, rng=rng())
         assert len(copies) == 100
-        assert all(c.indices[0] < 20 for c in copies if c.indices)
+        assert all(c[0] < 20 for c in copies if c[0] >= 0)
 
     def test_single_copy(self):
         copies = augment(make_flow(2000), Fixed(22), window=45, max_copies=1)
         assert len(copies) == 1
-        assert copies[0].indices[0] == 0
+        assert copies[0, 0] == 0
 
     def test_partial_window_when_flow_too_short(self):
         copies = augment(make_flow(100), Fixed(22), window=45, max_copies=100)
         assert len(copies) == 1
-        assert len(copies[0].indices) == 5  # 0, 22, 44, 66, 88
+        assert valid(copies[0]) == [0, 22, 44, 66, 88]
+        assert np.all(copies[0, 5:] == -1)
 
     def test_copy_count_bounded(self):
         for n in (46, 100, 500, 5000):
@@ -190,28 +194,81 @@ class TestAugment:
             assert 1 <= len(copies) <= 30
 
     def test_label_inherited(self):
-        copies = augment(make_flow(200, label="web"), Fixed(4), window=45,
-                         max_copies=3)
-        assert all(c.label == "web" for c in copies)
+        # copies carry no label of their own: datasets take the flow's label
+        flow = make_flow(200, label="web")
+        copies = augment(flow, Fixed(4), window=45, max_copies=3)
+        assert copies.dtype == np.int64 and copies.shape == (3, 45)
+        assert flow.label == "web"
 
     def test_incremental_offsets_distinct(self):
         flow = make_flow(1500)
         spec = Incremental(8, 1.2, 10)
         copies = augment(flow, spec, window=45, max_copies=100)
-        starts = [c.indices[0] for c in copies]
+        starts = [int(c[0]) for c in copies]
         assert starts == sorted(set(starts))
         span = window_span(spec, 45)
         assert all(s + span <= 1500 for s in starts)
 
+    def test_empty_flow_rejected(self):
+        with pytest.raises(InvalidStartError):
+            augment(make_flow(0), Fixed(1), window=5)
 
-class TestSampledFlowInvariants:
-    def test_rejects_decreasing_indices(self):
-        with pytest.raises(ValueError):
-            SampledFlow("f", (3, 2), 45)
 
-    def test_rejects_overfull(self):
-        with pytest.raises(ValueError):
-            SampledFlow("f", (0, 1, 2), 2)
+def scalar_augment(flow_len, spec, window, max_copies, gen):
+    """Per-copy reference: sample_indices at each start of the schedule."""
+    if isinstance(spec, Random):
+        return [sample_indices(spec, 0, flow_len, window, gen)
+                for _ in range(max_copies)]
+    span = window_span(spec, window)
+    if span > flow_len:
+        return [sample_indices(spec, 0, flow_len, window)]
+    delta = max(1, (flow_len - span) // max_copies)
+    return [sample_indices(spec, start, flow_len, window)
+            for start in range(0, flow_len - span + 1, delta)][:max_copies]
+
+
+@st.composite
+def specs(draw):
+    kind = draw(st.sampled_from(["fixed", "random", "incremental"]))
+    if kind == "fixed":
+        return Fixed(draw(st.integers(1, 40)))
+    if kind == "random":
+        return Random(draw(st.floats(0.01, 1.0)))
+    return Incremental(draw(st.integers(1, 30)), draw(st.floats(1.0, 2.5)),
+                       draw(st.integers(1, 15)))
+
+
+class TestAugmentMatchesSampleIndices:
+    @given(specs(), st.integers(1, 1500), st.integers(1, 60),
+           st.integers(1, 120), st.integers(0, 2 ** 32))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_and_rng_state(self, spec, flow_len, window, max_copies,
+                                seed):
+        gen_batch = np.random.default_rng(seed)
+        gen_scalar = np.random.default_rng(seed)
+        got = augment(make_flow(flow_len), spec, window, max_copies,
+                      gen_batch)
+        want = scalar_augment(flow_len, spec, window, max_copies, gen_scalar)
+        assert got.shape == (len(want), window)
+        assert [valid(row) for row in got] == want
+        assert np.all((got >= 0) | (got == -1))
+        assert gen_batch.bit_generator.state == gen_scalar.bit_generator.state
+
+    @pytest.mark.parametrize("spec", [Fixed(30), Incremental(8, 1.2, 10)])
+    def test_short_flow_single_partial_row(self, spec):
+        flow_len = window_span(spec, 45) - 1
+        got = augment(make_flow(flow_len), spec, 45, 100)
+        assert [valid(row) for row in got] == \
+            [sample_indices(spec, 0, flow_len, 45)]
+
+    def test_random_block_grows(self):
+        # more draws than the first block holds: the copies still follow
+        # the scalar stream, and the generator ends where it would
+        gen_batch, gen_scalar = rng(3), rng(3)
+        got = augment(make_flow(5000), Random(0.002), 45, 30, gen_batch)
+        want = scalar_augment(5000, Random(0.002), 45, 30, gen_scalar)
+        assert [valid(row) for row in got] == want
+        assert gen_batch.bit_generator.state == gen_scalar.bit_generator.state
 
 
 class TestSpecSerialization:
