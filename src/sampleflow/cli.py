@@ -16,7 +16,7 @@ from . import (__version__, features, flows, ingest, manifest, pipeline,
                sampling, synth)
 from .manifest import write_manifest
 from .neural import gradcheck as gc
-from .neural import load_checkpoint, save_checkpoint
+from .neural import CheckpointError, load_checkpoint, save_checkpoint
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,6 +44,18 @@ def _parse_sampling(method: str, params: str) -> sampling.SamplingSpec:
     except ValueError as exc:
         raise UsageError(f"bad --params for {method}: {exc}") from exc
     raise UsageError(f"unknown sampling method {method!r}")
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts: a bad value is a usage error (exit 1)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _require(path: str) -> Path:
@@ -254,12 +266,12 @@ def build_parser() -> _Parser:
     p.add_argument("--pcap", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--timeout", type=float, default=60.0)
-    p.add_argument("--min-packets", type=int, default=100)
+    p.add_argument("--min-packets", type=_positive_int, default=100)
     p.set_defaults(fn=cmd_ingest)
 
     p = sub.add_parser("synth", help="generate labeled synthetic flows")
-    p.add_argument("--classes", type=int, required=True)
-    p.add_argument("--flows-per-class", type=int, required=True)
+    p.add_argument("--classes", type=_positive_int, required=True)
+    p.add_argument("--flows-per-class", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--difficulty", type=float, default=1.0)
     p.add_argument("--out", required=True)
@@ -277,8 +289,8 @@ def build_parser() -> _Parser:
                    choices=["fixed", "random", "incremental"])
     p.add_argument("--params", required=True,
                    help="l | p | l0,alpha,beta depending on --method")
-    p.add_argument("--window", type=int, default=45)
-    p.add_argument("--copies", type=int, default=100)
+    p.add_argument("--window", type=_positive_int, default=45)
+    p.add_argument("--copies", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(fn=cmd_sample)
 
@@ -311,11 +323,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("baseline-knn", help="KNN over statistical features")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=_positive_int, default=5)
     p.set_defaults(fn=cmd_baseline_knn)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
-    p.add_argument("--seeds", type=int, default=10)
+    p.add_argument("--seeds", type=_positive_int, default=10)
     p.set_defaults(fn=cmd_gradcheck)
 
     return parser
@@ -334,6 +346,8 @@ DATA_ERRORS = (
     pipeline.LabelError,
     pipeline.CoverageError,
     pipeline.EmptyEvalError,
+    pipeline.NonFiniteLossError,
+    CheckpointError,
     ValueError,
     json.JSONDecodeError,
 )

@@ -196,4 +196,4 @@ def ingest_pcap(byte_stream: Union[bytes, IO[bytes]],
         if out is not None:
             decoded.append(out)
     flows = assemble_flows(decoded, idle_timeout=idle_timeout)
-    return filter_short_flows(flows, min_packets) if min_packets > 1 else flows
+    return filter_short_flows(flows, min_packets)

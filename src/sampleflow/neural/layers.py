@@ -1,8 +1,13 @@
-"""Layers with explicit forward/backward passes, double precision throughout."""
+"""Layers with explicit forward/backward passes, double precision throughout.
+
+A forward with train=True keeps what backward needs in `_cache`; a forward
+with train=False keeps nothing, so backward after it raises RuntimeError.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -26,6 +31,7 @@ class Param:
 
 class Layer:
     frozen = False
+    _cache = None
 
     def params(self) -> list[Param]:
         return []
@@ -36,13 +42,22 @@ class Layer:
     def backward(self, dy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _need_cache(self, name: str = "_cache"):
-        if getattr(self, name, None) is None:
-            raise RuntimeError(f"{type(self).__name__}.backward before forward")
+    def _cached(self):
+        if self._cache is None:
+            raise RuntimeError(f"{type(self).__name__}.backward needs a "
+                               "forward with train=True first")
+        return self._cache
 
 
 class Conv1d(Layer):
-    """Stride-1 convolution with zero 'same' padding (odd kernel)."""
+    """Stride-1 convolution with zero 'same' padding (odd kernel), as im2col.
+
+    The padded input is laid out [C, W + 2*pad, N] and its windows are copied
+    into one cols[(c, k), (t, n)] matrix, so forward is one matmul and
+    backward two. With the batch innermost, each tap of im2col and of col2im
+    moves one contiguous block of W*N values per channel. The output is an
+    [N, O, W] view of an [O, W, N] array.
+    """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int):
         if kernel % 2 != 1:
@@ -53,7 +68,6 @@ class Conv1d(Layer):
         self.pad = kernel // 2
         self.weight = Param(np.zeros((out_channels, in_channels, kernel)))
         self.bias = Param(np.zeros(out_channels))
-        self._cache = None
 
     def params(self):
         return [self.weight, self.bias]
@@ -62,31 +76,29 @@ class Conv1d(Layer):
         if x.ndim != 3 or x.shape[1] != self.in_channels:
             raise ShapeError(f"Conv1d expected [N,{self.in_channels},W], "
                              f"got {x.shape}")
-        n, _, w = x.shape
-        x_pad = np.pad(x, ((0, 0), (0, 0), (self.pad, self.pad)))
-        y = np.tile(self.bias.value[None, :, None], (n, 1, w))
-        wt = self.weight.value
-        for k in range(self.kernel):
-            y += np.einsum("oc,nct->not", wt[:, :, k], x_pad[:, :, k:k + w],
-                           optimize=True)
-        self._cache = x_pad
-        return y
+        n, c, w = x.shape
+        x_pad = np.zeros((c, w + 2 * self.pad, n))
+        x_pad[:, self.pad:self.pad + w] = x.transpose(1, 2, 0)
+        # [C, K, N, W] windows -> [C, K, W, N] -> one (C*K, W*N) copy
+        cols = sliding_window_view(x_pad, w, axis=1).transpose(0, 1, 3, 2) \
+            .reshape(c * self.kernel, w * n)
+        y = self.weight.value.reshape(self.out_channels, -1) @ cols
+        y += self.bias.value[:, None]
+        self._cache = cols if train else None
+        return y.reshape(self.out_channels, w, n).transpose(2, 0, 1)
 
     def backward(self, dy):
-        self._need_cache()
-        x_pad = self._cache
-        n, _, w = dy.shape
-        wt = self.weight.value
-        dx_pad = np.zeros_like(x_pad)
-        for k in range(self.kernel):
-            self.weight.grad[:, :, k] += np.einsum(
-                "not,nct->oc", dy, x_pad[:, :, k:k + w], optimize=True)
-            dx_pad[:, :, k:k + w] += np.einsum(
-                "oc,not->nct", wt[:, :, k], dy, optimize=True)
-        self.bias.grad += dy.sum(axis=(0, 2))
-        if self.pad:
-            return dx_pad[:, :, self.pad:-self.pad]
-        return dx_pad
+        cols = self._cached()
+        n, o, w = dy.shape
+        c, k = self.in_channels, self.kernel
+        dy2 = dy.transpose(1, 2, 0).reshape(o, w * n)
+        self.weight.grad += (dy2 @ cols.T).reshape(o, c, k)
+        self.bias.grad += dy2.sum(axis=1)
+        dcols = (self.weight.value.reshape(o, -1).T @ dy2).reshape(c, k, w, n)
+        dx_pad = np.zeros((c, w + 2 * self.pad, n))
+        for j in range(k):  # col2im: tap j read x_pad[:, j:j + w]
+            dx_pad[:, j:j + w] += dcols[:, j]
+        return dx_pad[:, self.pad:self.pad + w].transpose(2, 0, 1)
 
 
 class BatchNorm1d(Layer):
@@ -100,117 +112,125 @@ class BatchNorm1d(Layer):
         self.beta = Param(np.zeros(channels))
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self._cache = None
 
     def params(self):
         return [self.gamma, self.beta]
 
-    def _to3d(self, x):
+    def _axes(self, x):
+        """Reduction axes and the shape that broadcasts a channel vector."""
+        if x.ndim not in (2, 3):
+            raise ShapeError(f"BatchNorm1d expected [N,C] or [N,C,W], "
+                             f"got {x.shape}")
         if x.ndim == 2:
-            return x[:, :, None], True
-        if x.ndim == 3:
-            return x, False
-        raise ShapeError(f"BatchNorm1d expected [N,C] or [N,C,W], got {x.shape}")
+            return (0,), (-1,)
+        return (0, 2), (-1, 1)
 
     def forward(self, x, train):
-        x3, squeezed = self._to3d(x)
-        if x3.shape[1] != self.channels:
+        axes, vec = self._axes(x)
+        if x.shape[1] != self.channels:
             raise ShapeError(f"BatchNorm1d expected {self.channels} channels, "
-                             f"got {x3.shape[1]}")
+                             f"got {x.shape[1]}")
         use_batch_stats = train and not self.frozen
         if use_batch_stats:
-            n_eff = x3.shape[0] * x3.shape[2]
-            if n_eff < 2:
+            if x.size // self.channels < 2:
                 raise DegenerateBatchError(
                     "batch norm needs at least 2 values per channel in train mode")
-            mean = x3.mean(axis=(0, 2))
-            var = x3.var(axis=(0, 2))
+            mean = x.mean(axis=axes)
+            xc = x - mean.reshape(vec)
+            var = np.square(xc).mean(axis=axes)
             self.running_mean = ((1 - self.momentum) * self.running_mean
                                  + self.momentum * mean)
             self.running_var = ((1 - self.momentum) * self.running_var
                                 + self.momentum * var)
         else:
-            mean = self.running_mean
+            xc = x - self.running_mean.reshape(vec)
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x3 - mean[None, :, None]) * inv_std[None, :, None]
-        y = self.gamma.value[None, :, None] * xhat + self.beta.value[None, :, None]
-        self._cache = (xhat, inv_std, use_batch_stats, squeezed)
-        return y[:, :, 0] if squeezed else y
+        if not train:
+            self._cache = None
+            xc *= (self.gamma.value * inv_std).reshape(vec)
+            xc += self.beta.value.reshape(vec)
+            return xc
+        xc *= inv_std.reshape(vec)  # now x-hat
+        self._cache = (xc, inv_std, use_batch_stats)
+        y = xc * self.gamma.value.reshape(vec)
+        y += self.beta.value.reshape(vec)
+        return y
 
     def backward(self, dy):
-        self._need_cache()
-        xhat, inv_std, batch_stats, squeezed = self._cache
-        dy3 = dy[:, :, None] if squeezed else dy
-        self.gamma.grad += (dy3 * xhat).sum(axis=(0, 2))
-        self.beta.grad += dy3.sum(axis=(0, 2))
-        g = self.gamma.value[None, :, None]
-        dxhat = dy3 * g
-        if batch_stats:
-            mean_dxhat = dxhat.mean(axis=(0, 2))[None, :, None]
-            mean_dxhat_xhat = (dxhat * xhat).mean(axis=(0, 2))[None, :, None]
-            dx = inv_std[None, :, None] * (dxhat - mean_dxhat
-                                           - xhat * mean_dxhat_xhat)
-        else:
-            dx = dxhat * inv_std[None, :, None]
-        return dx[:, :, 0] if squeezed else dx
+        xhat, inv_std, batch_stats = self._cached()
+        axes, vec = self._axes(dy)
+        dgamma = (dy * xhat).sum(axis=axes)
+        dbeta = dy.sum(axis=axes)
+        self.gamma.grad += dgamma
+        self.beta.grad += dbeta
+        scale = (self.gamma.value * inv_std).reshape(vec)
+        if not batch_stats:
+            return dy * scale
+        # gamma * inv_std * (dy - sum(dy)/m - xhat * sum(dy * xhat)/m)
+        m = dy.size // self.channels
+        dx = xhat * (-dgamma / m).reshape(vec)
+        dx += dy
+        dx -= (dbeta / m).reshape(vec)
+        dx *= scale
+        return dx
 
 
 class MaxPool1d(Layer):
-    """Non-overlapping max pooling; trailing remainder is dropped."""
+    """Non-overlapping max pooling; trailing remainder is dropped.
+
+    Backward sends each window's gradient to its first maximum.
+    """
 
     def __init__(self, kernel: int = 3):
         self.kernel = kernel
-        self._cache = None
 
     def forward(self, x, train):
         if x.ndim != 3:
             raise ShapeError(f"MaxPool1d expected [N,C,W], got {x.shape}")
         n, c, w = x.shape
-        if w < self.kernel:
-            raise ShapeError(f"width {w} smaller than pool kernel {self.kernel}")
-        w_out = w // self.kernel
-        windows = x[:, :, :w_out * self.kernel].reshape(n, c, w_out, self.kernel)
-        argmax = windows.argmax(axis=3)  # first index on ties
-        y = np.take_along_axis(windows, argmax[..., None], axis=3)[..., 0]
-        self._cache = (x.shape, argmax)
+        k = self.kernel
+        if w < k:
+            raise ShapeError(f"width {w} smaller than pool kernel {k}")
+        w_out = w // k
+        windows = x[:, :, :w_out * k].reshape(n, c, w_out, k)
+        y = windows[..., 0].copy(order="K")
+        for j in range(1, k):
+            np.maximum(y, windows[..., j], out=y)
+        self._cache = (x, y) if train else None
         return y
 
     def backward(self, dy):
-        self._need_cache()
-        (n, c, w), argmax = self._cache
-        w_out = dy.shape[2]
-        dwin = np.zeros((n, c, w_out, self.kernel))
-        np.put_along_axis(dwin, argmax[..., None], dy[..., None], axis=3)
-        dx = np.zeros((n, c, w))
-        dx[:, :, :w_out * self.kernel] = dwin.reshape(n, c, w_out * self.kernel)
+        x, y = self._cached()
+        n, c, w_out = dy.shape
+        k = self.kernel
+        windows = x[:, :, :w_out * k].reshape(n, c, w_out, k)
+        dx = np.zeros_like(x)
+        routed = np.zeros_like(y, dtype=bool)
+        for j in range(k):
+            hit = windows[..., j] == y
+            hit &= ~routed
+            routed |= hit
+            dx[:, :, j:w_out * k:k] = dy * hit
         return dx
 
 
 class ReLU(Layer):
-    def __init__(self):
-        self._cache = None
-
     def forward(self, x, train):
-        self._cache = x > 0
-        return np.where(self._cache, x, 0.0)
+        self._cache = x > 0 if train else None
+        return np.maximum(x, 0.0)
 
     def backward(self, dy):
-        self._need_cache()
-        return np.where(self._cache, dy, 0.0)
+        return dy * self._cached()
 
 
 class Flatten(Layer):
-    def __init__(self):
-        self._cache = None
-
     def forward(self, x, train):
-        self._cache = x.shape
+        self._cache = x.shape if train else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dy):
-        self._need_cache()
-        return dy.reshape(self._cache)
+        return dy.reshape(self._cached())
 
 
 class Dense(Layer):
@@ -219,7 +239,6 @@ class Dense(Layer):
         self.out_features = out_features
         self.weight = Param(np.zeros((in_features, out_features)))
         self.bias = Param(np.zeros(out_features))
-        self._cache = None
 
     def params(self):
         return [self.weight, self.bias]
@@ -228,12 +247,11 @@ class Dense(Layer):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(f"Dense expected [N,{self.in_features}], "
                              f"got {x.shape}")
-        self._cache = x
+        self._cache = x if train else None
         return x @ self.weight.value + self.bias.value
 
     def backward(self, dy):
-        self._need_cache()
-        x = self._cache
+        x = self._cached()
         self.weight.grad += x.T @ dy
         self.bias.grad += dy.sum(axis=0)
         return dy @ self.weight.value.T

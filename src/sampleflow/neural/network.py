@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,10 @@ REGRESSION_OUTPUTS = 24
 
 class IncompatibleTrunkError(ValueError):
     pass
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file that cannot be read or does not fit its network."""
 
 
 class Network:
@@ -242,28 +247,56 @@ def save_checkpoint(net: Network, path: str | Path,
 
 
 def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
-    with np.load(Path(path), allow_pickle=False) as npz:
-        meta = json.loads(bytes(npz["meta"]).decode())
-        if meta.get("checkpoint_version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version "
-                             f"{meta.get('checkpoint_version')}")
+    path = Path(path)
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh, allow_pickle=False) as npz:
+                arrays = {name: npz[name] for name in npz.files}
+        except (OSError, EOFError, ValueError, zipfile.BadZipFile,
+                zlib.error) as exc:
+            raise CheckpointError(f"{path}: not a checkpoint file ({exc})") \
+                from exc
+
+    def take(name: str, into: np.ndarray) -> None:
+        arr = arrays.get(name)
+        if arr is None:
+            raise CheckpointError(f"{path}: missing array {name!r}")
+        if arr.shape != into.shape or arr.dtype.kind not in "fiu" \
+                or not np.all(np.isfinite(arr)):
+            raise CheckpointError(
+                f"{path}: array {name!r} has shape {arr.shape} and dtype "
+                f"{arr.dtype}, expected {into.shape} finite numbers")
+        into[...] = arr
+
+    try:
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        version = meta.get("checkpoint_version")
+    except (KeyError, ValueError, AttributeError) as exc:
+        raise CheckpointError(f"{path}: unreadable metadata ({exc!r})") \
+            from exc
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version "
+                              f"{version}")
+    try:
         kind = meta["kind"]
         window = int(meta["window"])
         num_outputs = int(meta["num_outputs"])
-        if kind == "regressor":
-            net = build_regressor(window)
-        elif kind == "classifier":
-            net = build_classifier(window, num_outputs)
-        else:
-            raise ValueError(f"unknown checkpoint kind {kind!r}")
-        for i, layer in enumerate(net.layers):
-            for j, p in enumerate(layer.params()):
-                p.value[...] = npz[f"p{i}_{j}"]
-            if isinstance(layer, BatchNorm1d):
-                layer.running_mean[...] = npz[f"rm{i}"]
-                layer.running_var[...] = npz[f"rv{i}"]
-        for layer, frozen in zip(net.layers, meta.get("frozen", [])):
-            layer.frozen = bool(frozen)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad metadata ({exc!r})") from exc
+    if kind == "regressor":
+        net = build_regressor(window)
+    elif kind == "classifier":
+        net = build_classifier(window, num_outputs)
+    else:
+        raise CheckpointError(f"{path}: unknown checkpoint kind {kind!r}")
+    for i, layer in enumerate(net.layers):
+        for j, p in enumerate(layer.params()):
+            take(f"p{i}_{j}", p.value)
+        if isinstance(layer, BatchNorm1d):
+            take(f"rm{i}", layer.running_mean)
+            take(f"rv{i}", layer.running_var)
+    for layer, frozen in zip(net.layers, meta.get("frozen", [])):
+        layer.frozen = bool(frozen)
     net.meta.update({k: v for k, v in meta.items()
                      if k not in ("checkpoint_version", "frozen")})
     return net, meta

@@ -35,6 +35,10 @@ class EmptyEvalError(ValueError):
     pass
 
 
+class NonFiniteLossError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     sampling: SamplingSpec
@@ -119,13 +123,17 @@ def _train_network(net: Network, x: np.ndarray, y: np.ndarray, loss_fn,
     for epoch in range(epochs):
         order = rng.permutation(n)
         losses = []
-        for lo in range(0, n, cfg.batch_size):
+        for batch, lo in enumerate(range(0, n, cfg.batch_size)):
             idx = order[lo:lo + cfg.batch_size]
             if len(idx) < 2:
                 continue  # batch norm needs more than one value
             optimizer.zero_grad()
             pred = net.forward(x[idx])
             loss, dpred = loss_fn(pred, y[idx])
+            if not np.isfinite(loss):
+                raise NonFiniteLossError(
+                    f"training loss is {loss} at epoch {epoch + 1}/{epochs}, "
+                    f"batch {batch + 1}; lower lr (now {cfg.lr})")
             net.backward(dpred)
             optimizer.step()
             losses.append(loss)

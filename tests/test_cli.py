@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from sampleflow.cli import main
@@ -94,6 +95,20 @@ class TestIngestCommand:
         assert manifest["subcommand"] == "ingest"
         assert str(cap) in manifest["inputs"]
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_min_packets_below_one_is_usage_error(self, capsys, tmp_path,
+                                                  value):
+        frames = [(pc.udp_frame("10.0.0.1", "10.0.0.2", 1000, 443, 50),
+                   0.01 * i) for i in range(5)]
+        cap = tmp_path / "t.pcap"
+        cap.write_bytes(pc.pcap(frames))
+        out = tmp_path / "t.flows"
+        code, _, err = run(capsys, "ingest", "--pcap", str(cap),
+                           "--out", str(out), "--min-packets", value)
+        assert code == 1
+        assert "--min-packets" in err
+        assert not out.exists()
+
     def test_truncated_pcap_is_data_error(self, capsys, tmp_path):
         cap = tmp_path / "bad.pcap"
         cap.write_bytes(pc.global_header()[:10])
@@ -183,6 +198,40 @@ class TestPipelineRoundTrip:
         digest = hashlib.sha256(flows_path.read_bytes()).hexdigest()
         assert payload["manifest"]["inputs"] == {str(flows_path): digest}
 
+    def test_sample_window_zero_is_usage_error(self, capsys, workspace):
+        root, flows_path, _ = workspace
+        code, _, err = run(capsys, "sample", "--flows", str(flows_path),
+                           "--out", str(root / "w0.jsonl"), "--method",
+                           "fixed", "--params", "2", "--window", "0",
+                           "--seed", "3")
+        assert code == 1
+        assert "--window" in err
+
+    def test_diverging_pretrain_is_data_error(self, capsys, workspace):
+        root, flows_path, cfg_path = workspace
+        cfg = json.loads(cfg_path.read_text())
+        cfg["lr"] = 1e100  # the first Adam step overflows the next forward
+        bad_cfg = root / "diverge.json"
+        bad_cfg.write_text(json.dumps(cfg))
+        out = root / "nan.ckpt"
+        with np.errstate(all="ignore"):
+            code, _, err = run(capsys, "pretrain", "--flows", str(flows_path),
+                               "--config", str(bad_cfg), "--out", str(out))
+        assert code == 2
+        assert "epoch 1/2, batch" in err
+        assert not out.exists()
+
+    def test_evaluate_garbage_checkpoint_is_data_error(self, capsys,
+                                                       workspace):
+        root, flows_path, _ = workspace
+        garbage = root / "garbage.ckpt"
+        garbage.write_bytes(b"PK\x03\x04 truncated")
+        code, _, err = run(capsys, "evaluate", "--model", str(garbage),
+                           "--flows", str(flows_path),
+                           "--report", str(root / "g.json"))
+        assert code == 2
+        assert "not a checkpoint" in err
+
     def test_evaluate_missing_model_names_path(self, capsys, workspace):
         root, flows_path, _ = workspace
         missing = root / "absent.ckpt"
@@ -213,6 +262,13 @@ class TestPipelineRoundTrip:
         payload = json.loads(stdout)
         # k=1 on identical train and test memorizes perfectly
         assert payload["macro_accuracy"] == 1.0
+
+    def test_baseline_knn_k_zero_is_usage_error(self, capsys, workspace):
+        _, flows_path, _ = workspace
+        code, _, err = run(capsys, "baseline-knn", "--train", str(flows_path),
+                           "--test", str(flows_path), "--k", "0")
+        assert code == 1
+        assert "--k" in err
 
     def test_baseline_knn_counts_classes_missing_from_test(self, capsys,
                                                            tmp_path):

@@ -213,3 +213,10 @@ class TestIngestPcap:
         assert stats.skipped["non-ipv4"] == 1
         assert len(flows) == 1
         assert len(flows[0].packets) == 5
+
+    @pytest.mark.parametrize("min_packets", [0, -5])
+    def test_min_packets_below_one_rejected(self, min_packets):
+        frames = [(pc.udp_frame("10.0.0.1", "10.0.0.2", 1000, 443, 50),
+                   0.1 * i) for i in range(5)]
+        with pytest.raises(ValueError, match="min_packets"):
+            ingest_pcap(pc.pcap(frames), min_packets=min_packets)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from sampleflow.neural import (Adam, BatchNorm1d, Conv1d, DegenerateBatchError,
-                               Dense, Flatten, IncompatibleTrunkError,
+from sampleflow.neural import (Adam, BatchNorm1d, CheckpointError, Conv1d,
+                               DegenerateBatchError, Dense, Flatten,
+                               IncompatibleTrunkError,
                                MaxPool1d, Network, ReLU, ShapeError,
                                build_classifier, build_regressor,
                                cross_entropy_loss, init_params,
@@ -14,7 +15,50 @@ from sampleflow.neural.gradcheck import run_all
 from sampleflow.neural.network import flatten_width
 
 
+def assert_rel_close(actual, expected, rtol=1e-10):
+    """max |actual - expected| within rtol of max |expected|."""
+    assert actual.shape == expected.shape
+    scale = max(float(np.abs(expected).max()), 1e-300)
+    assert float(np.abs(actual - expected).max()) <= rtol * scale
+
+
+def conv_reference(x, weight, bias, dy):
+    """Forward and gradients of a 'same' convolution, one tap and one output
+    position at a time."""
+    n, c, w = x.shape
+    o, _, k = weight.shape
+    p = k // 2
+    x_pad = np.pad(x, ((0, 0), (0, 0), (p, p)))
+    y = np.tile(bias[None, :, None], (n, 1, w))
+    dx_pad = np.zeros_like(x_pad)
+    dw = np.zeros_like(weight)
+    for j in range(k):
+        for t in range(w):
+            y[:, :, t] += x_pad[:, :, t + j] @ weight[:, :, j].T
+            dw[:, :, j] += dy[:, :, t].T @ x_pad[:, :, t + j]
+            dx_pad[:, :, t + j] += dy[:, :, t] @ weight[:, :, j]
+    return y, dx_pad[:, :, p:p + w], dw, dy.sum(axis=(0, 2))
+
+
 class TestConv1d:
+    @pytest.mark.parametrize("c, o, k, w", [(2, 32, 5, 45), (32, 32, 5, 45),
+                                            (32, 64, 3, 15), (3, 4, 1, 7),
+                                            (3, 4, 3, 7)],
+                             ids=["L0", "L3", "L8", "k1", "k3"])
+    def test_matches_per_tap_reference(self, c, o, k, w):
+        rng = np.random.default_rng(c * o + k)
+        layer = Conv1d(c, o, k)
+        layer.weight.value[...] = rng.standard_normal((o, c, k))
+        layer.bias.value[...] = rng.standard_normal(o)
+        x = rng.standard_normal((6, c, w))
+        dy = rng.standard_normal((6, o, w))
+        y_ref, dx_ref, dw_ref, db_ref = conv_reference(
+            x, layer.weight.value, layer.bias.value, dy)
+        assert_rel_close(layer.forward(x, True), y_ref)
+        assert_rel_close(layer.backward(dy), dx_ref)
+        assert_rel_close(layer.weight.grad, dw_ref)
+        assert_rel_close(layer.bias.grad, db_ref)
+
     def test_identity_kernel(self):
         layer = Conv1d(1, 1, 1)
         layer.weight.value[...] = 1.0
@@ -98,6 +142,49 @@ class TestBatchNorm:
         layer.forward(x, False)
         np.testing.assert_array_equal(layer.running_mean, after_train)
 
+    @pytest.mark.parametrize("shape", [(6, 3, 7), (9, 4)], ids=["3d", "2d"])
+    @pytest.mark.parametrize("frozen", [False, True],
+                             ids=["batch-stats", "frozen"])
+    def test_backward_matches_textbook(self, shape, frozen):
+        rng = np.random.default_rng(len(shape) + frozen)
+        c = shape[1]
+        layer = BatchNorm1d(c)
+        layer.frozen = frozen
+        layer.gamma.value[...] = rng.uniform(0.5, 1.5, c)
+        layer.beta.value[...] = rng.standard_normal(c)
+        layer.running_mean[...] = rng.standard_normal(c)
+        layer.running_var[...] = rng.uniform(0.5, 2.0, c)
+        x = rng.normal(1.0, 3.0, shape)
+        dy = rng.standard_normal(shape)
+        vec = (1, c) + (1,) * (len(shape) - 2)
+        axes = (0,) + tuple(range(2, len(shape)))
+        m = x.size // c
+        if frozen:
+            mu = layer.running_mean.reshape(vec)
+            var = layer.running_var.reshape(vec)
+        else:
+            mu = x.mean(axis=axes, keepdims=True)
+            var = x.var(axis=axes, keepdims=True)
+        layer.forward(x, True)
+        dx = layer.backward(dy)
+        gamma = layer.gamma.value.reshape(vec)
+        xhat = (x - mu) / np.sqrt(var + layer.eps)
+        dxhat = dy * gamma
+        if frozen:
+            dx_ref = dxhat / np.sqrt(var + layer.eps)
+        else:
+            # Ioffe & Szegedy (2015): through x-hat, the variance and the mean
+            dvar = np.sum(dxhat * (x - mu) * -0.5 * (var + layer.eps) ** -1.5,
+                          axis=axes, keepdims=True)
+            dmu = np.sum(-dxhat / np.sqrt(var + layer.eps), axis=axes,
+                         keepdims=True) \
+                + dvar * np.sum(-2.0 * (x - mu), axis=axes, keepdims=True) / m
+            dx_ref = dxhat / np.sqrt(var + layer.eps) \
+                + dvar * 2.0 * (x - mu) / m + dmu / m
+        assert_rel_close(dx, dx_ref, rtol=1e-9)
+        assert_rel_close(layer.gamma.grad, np.sum(dy * xhat, axis=axes))
+        assert_rel_close(layer.beta.grad, np.sum(dy, axis=axes))
+
 
 class TestMaxPool:
     def test_hand_example_remainder_dropped(self):
@@ -116,6 +203,30 @@ class TestMaxPool:
     def test_too_narrow(self):
         with pytest.raises(ShapeError):
             MaxPool1d(3).forward(np.zeros((1, 1, 2)), True)
+
+    def test_remainder_gets_zero_gradient(self):
+        layer = MaxPool1d(3)
+        layer.forward(np.array([[[1.0, 3, 2, 5, 4, 6, 9]]]), True)
+        dx = layer.backward(np.array([[[10.0, 20.0]]]))
+        np.testing.assert_array_equal(dx, [[[0, 10, 0, 0, 0, 20, 0]]])
+
+
+@pytest.mark.parametrize("make, shape", [
+    (lambda: Conv1d(2, 3, 3), (4, 2, 5)),
+    (lambda: BatchNorm1d(2), (4, 2, 5)),
+    (lambda: MaxPool1d(3), (4, 2, 6)),
+    (lambda: ReLU(), (4, 2, 5)),
+    (lambda: Flatten(), (4, 2, 5)),
+    (lambda: Dense(5, 3), (4, 5)),
+], ids=["Conv1d", "BatchNorm1d", "MaxPool1d", "ReLU", "Flatten", "Dense"])
+def test_backward_after_eval_forward_raises(make, shape):
+    layer = make()
+    x = np.random.default_rng(0).standard_normal(shape)
+    y = layer.forward(x, True)
+    layer.backward(np.ones_like(y))  # a train forward keeps its cache
+    layer.forward(x, False)
+    with pytest.raises(RuntimeError):
+        layer.backward(np.ones_like(y))
 
 
 class TestDenseRelu:
@@ -258,6 +369,20 @@ class TestNetworkConstruction:
         assert np.all(np.isfinite(y))
         assert 1e-6 < y.var() < 100
 
+    def test_non_contiguous_input(self):
+        net = init_params(build_regressor(45), 4)
+        x = np.random.default_rng(5).standard_normal((2, 45, 8)) \
+            .transpose(2, 0, 1)  # [8, 2, 45] view, batch innermost
+        assert not x.flags.c_contiguous
+        for train in (True, False):
+            outs = []
+            for inp in (np.ascontiguousarray(x), x):
+                h = inp
+                for layer in net.trunk:
+                    h = layer.forward(h, train)
+                outs.append(h)
+            np.testing.assert_array_equal(outs[0], outs[1])
+
     def test_eval_forward_pure(self):
         net = init_params(build_regressor(45), 1)
         net.eval()
@@ -326,6 +451,22 @@ class TestTransferTrunk:
             transfer_trunk(src, dst)
 
 
+def rewrite_checkpoint(path, edit):
+    """Apply edit(members) to the {name: npy bytes} of a checkpoint file."""
+    import io
+    import zipfile
+    with zipfile.ZipFile(path) as zf:
+        members = {n: zf.read(n) for n in zf.namelist()}
+    edit(members)
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in members.items():
+            if not isinstance(data, bytes):
+                buf = io.BytesIO()
+                np.save(buf, data)
+                data = buf.getvalue()
+            zf.writestr(name, data)
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         net = init_params(build_classifier(45, 4), 5)
@@ -362,6 +503,35 @@ class TestCheckpoint:
             for n, b in names.items():
                 zf.writestr(n, b)
         with pytest.raises(ValueError, match="version"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", [lambda b: b[:len(b) // 2],
+                                        lambda b: b"not a checkpoint\n"],
+                             ids=["truncated", "garbage"])
+    def test_unreadable_file(self, tmp_path, damage):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(build_regressor(45), 0), path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(CheckpointError, match="not a checkpoint"):
+            load_checkpoint(path)
+
+    def test_missing_array(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(build_regressor(45), 0), path)
+        rewrite_checkpoint(path, lambda m: m.pop("p3_0.npy"))
+        with pytest.raises(CheckpointError, match="p3_0"):
+            load_checkpoint(path)
+
+    # (32, 2, 1) would broadcast into the (32, 2, 5) first conv weight
+    @pytest.mark.parametrize("bad", [np.ones((32, 2, 1)),
+                                     np.full((32, 2, 5), np.nan),
+                                     np.full((32, 2, 5), "x")],
+                             ids=["wrong-shape", "non-finite", "strings"])
+    def test_invalid_array(self, tmp_path, bad):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(build_regressor(45), 0), path)
+        rewrite_checkpoint(path, lambda m: m.update({"p0_0.npy": bad}))
+        with pytest.raises(CheckpointError, match="p0_0"):
             load_checkpoint(path)
 
     def test_deterministic_bytes(self, tmp_path):

@@ -6,8 +6,10 @@ import pytest
 
 from sampleflow.features import normalize_targets, stat_features
 from sampleflow.flows import FiveTuple, Flow
+from sampleflow.neural import build_regressor, init_params, mse_loss
 from sampleflow.pipeline import (CoverageError, EmptyDatasetError, KnnClassifier,
-                                 LabelError, TrainConfig,
+                                 LabelError, NonFiniteLossError, TrainConfig,
+                                 _train_network,
                                  build_classification_dataset,
                                  build_regression_dataset, classify,
                                  confusion_metrics, evaluate,
@@ -322,6 +324,17 @@ class TestTrainingPipeline:
         b = pretrain(corpus, cfg)
         assert param_checksum(a) == param_checksum(b)
         assert a.meta["train_config"]["seed"] == cfg.seed
+
+    def test_nan_target_stops_training(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((16, 2, 12))
+        y = rng.standard_normal((16, 24))
+        y[5, 3] = np.nan
+        net = init_params(build_regressor(12), 0)
+        with pytest.raises(NonFiniteLossError, match="epoch 1/3, batch 1"):
+            _train_network(net, x, y, mse_loss, 3,
+                           tiny_config(window=12, batch_size=16),
+                           shuffle_seed=0)
 
     def test_pretrain_loss_decreases(self, corpus):
         cfg = tiny_config(copies=2, pretrain_epochs=8, window=12)
