@@ -58,6 +58,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for durations: > 0 and not NaN; inf is allowed."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid number {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
 def _require(path: str) -> Path:
     p = Path(path)
     if not p.exists():
@@ -65,10 +77,17 @@ def _require(path: str) -> Path:
     return p
 
 
+def _read_config(path: str) -> dict:
+    cfg = json.loads(_require(path).read_text())
+    if not isinstance(cfg, dict):
+        raise pipeline.ConfigError(f"{path}: config must be a JSON object")
+    return cfg
+
+
 def _load_config(args, default_seed_required=True) -> pipeline.TrainConfig:
     cfg_dict = {}
     if getattr(args, "config", None):
-        cfg_dict = json.loads(_require(args.config).read_text())
+        cfg_dict = _read_config(args.config)
     if getattr(args, "seed", None) is not None:
         cfg_dict["seed"] = args.seed
     if "seed" not in cfg_dict and default_seed_required:
@@ -166,7 +185,7 @@ def cmd_retrain(args) -> int:
     pretrained, meta = load_checkpoint(model_path)
     cfg_dict = {}
     if args.config:
-        cfg_dict = json.loads(_require(args.config).read_text())
+        cfg_dict = _read_config(args.config)
     elif "train_config" in meta:
         cfg_dict = dict(meta["train_config"])
     if args.seed is not None:
@@ -265,7 +284,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ingest", help="parse a pcap into the flow file format")
     p.add_argument("--pcap", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--timeout", type=float, default=60.0)
+    p.add_argument("--timeout", type=_positive_float, default=60.0,
+                   help="idle seconds that end a flow (> 0; inf: never)")
     p.add_argument("--min-packets", type=_positive_int, default=100)
     p.set_defaults(fn=cmd_ingest)
 
@@ -347,6 +367,7 @@ DATA_ERRORS = (
     pipeline.CoverageError,
     pipeline.EmptyEvalError,
     pipeline.NonFiniteLossError,
+    pipeline.ConfigError,
     CheckpointError,
     ValueError,
     json.JSONDecodeError,

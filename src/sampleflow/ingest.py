@@ -1,11 +1,16 @@
-"""Classic pcap parsing, Ethernet/IPv4/TCP/UDP decoding, and flow assembly."""
+"""Classic pcap parsing, Ethernet/IPv4/TCP/UDP decoding, and flow assembly.
+
+A capture is handled as columns: one Python loop walks the record offsets,
+because each record's offset depends on the length of the one before, and
+decoding and flow assembly are numpy operations over all packets at once.
+"""
 
 from __future__ import annotations
 
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Iterator, Union
 
 import numpy as np
 
@@ -26,6 +31,17 @@ ETHERTYPE_IPV4 = 0x0800
 PROTO_TCP = 6
 PROTO_UDP = 17
 
+# The fixed-position fields of an untagged Ethernet frame carrying IPv4,
+# at their byte offsets in the frame.
+_ETH_IPV4 = np.dtype({
+    "names": ["ethertype", "version_ihl", "total_len", "proto", "src", "dst"],
+    "formats": [">u2", "u1", ">u2", "u1", ">u4", ">u4"],
+    "offsets": [12, 14, 16, 23, 26, 30],
+    "itemsize": 34,
+})
+# skip reasons, indexed by the codes decode_packet assigns
+_REASONS = ("malformed", "non-ipv4", "non-tcp-udp")
+
 
 class UnsupportedFormatError(ValueError):
     """Input is not a classic pcap file."""
@@ -40,34 +56,56 @@ class TruncatedCaptureError(ValueError):
 
 
 @dataclass(frozen=True)
-class RawPacket:
-    timestamp: float      # seconds since capture epoch
-    link_payload: bytes
-    orig_len: int         # bytes on the wire
+class RecordBlock:
+    """Records of a capture as columns over its bytes; no frame is copied."""
+    data: np.ndarray       # uint8 view of the whole capture
+    start: np.ndarray      # int64[n]: offset of each record's frame in data
+    length: np.ndarray     # int64[n]: captured bytes of each frame
+    timestamp: np.ndarray  # float64[n]: seconds since the capture epoch
 
 
-def parse_pcap(byte_stream: Union[bytes, IO[bytes]]) -> Iterator[RawPacket]:
-    """Yield packets of a classic pcap byte stream in file order."""
+@dataclass(frozen=True)
+class DecodedPackets:
+    """Columns of the TCP/UDP-over-IPv4 packets of a capture, in file order."""
+    timestamp: np.ndarray  # float64[n]
+    src: np.ndarray        # uint32[n]: IPv4 address, first octet highest
+    dst: np.ndarray        # uint32[n]
+    sport: np.ndarray      # uint16[n]
+    dport: np.ndarray      # uint16[n]
+    proto: np.ndarray      # uint8[n]: PROTO_TCP or PROTO_UDP
+    length: np.ndarray     # int64[n]: IPv4 total length (layer-3 bytes)
+
+
+def parse_pcap(byte_stream: Union[bytes, IO[bytes]]) -> Iterator[RecordBlock]:
+    """Yield all records of a classic pcap byte stream as one block.
+
+    The whole stream is checked before the block is yielded, so a truncated
+    capture raises before any record is returned.
+    """
     data = byte_stream if isinstance(byte_stream, bytes) else byte_stream.read()
-    if len(data) < PCAP_GLOBAL_HEADER_LEN:
-        raise TruncatedCaptureError(len(data))
+    size = len(data)
+    if size < PCAP_GLOBAL_HEADER_LEN:
+        raise TruncatedCaptureError(size)
     magic_le = struct.unpack_from("<I", data, 0)[0]
     if magic_le not in _MAGICS:
         raise UnsupportedFormatError(f"bad pcap magic 0x{magic_le:08x}")
     order, ts_div = _MAGICS[magic_le]
+    incl_len = struct.Struct(order + "I").unpack_from
+    headers = []
     offset = PCAP_GLOBAL_HEADER_LEN
-    while offset < len(data):
-        if offset + PCAP_RECORD_HEADER_LEN > len(data):
-            raise TruncatedCaptureError(len(data))
-        ts_sec, ts_frac, incl_len, orig_len = struct.unpack_from(
-            order + "IIII", data, offset)
-        offset += PCAP_RECORD_HEADER_LEN
-        if offset + incl_len > len(data):
-            raise TruncatedCaptureError(len(data))
-        payload = data[offset:offset + incl_len]
-        offset += incl_len
-        yield RawPacket(timestamp=ts_sec + ts_frac / ts_div,
-                        link_payload=payload, orig_len=orig_len)
+    while offset <= size - PCAP_RECORD_HEADER_LEN:  # a record header fits
+        headers.append(offset)
+        offset += PCAP_RECORD_HEADER_LEN + incl_len(data, offset + 8)[0]
+    if offset != size:  # a record header or frame runs past the end
+        raise TruncatedCaptureError(size)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    at = np.array(headers, dtype=np.int64)
+    # ts_sec, ts_frac, incl_len, orig_len of every record
+    fields = buf[at[:, None] + np.arange(PCAP_RECORD_HEADER_LEN)].view(
+        order + "u4")
+    yield RecordBlock(data=buf, start=at + PCAP_RECORD_HEADER_LEN,
+                      length=fields[:, 2].astype(np.int64),
+                      timestamp=fields[:, 0] + fields[:, 1] / ts_div)
 
 
 @dataclass
@@ -75,112 +113,116 @@ class DecodeStats:
     decoded: int = 0
     skipped: Counter = field(default_factory=Counter)
 
-    @property
-    def total(self) -> int:
-        return self.decoded + sum(self.skipped.values())
 
+def decode_packet(block: RecordBlock,
+                  stats: DecodeStats | None = None) -> DecodedPackets:
+    """Decode Ethernet -> IPv4 -> TCP/UDP for every record of a block.
 
-def decode_packet(raw: RawPacket,
-                  stats: DecodeStats | None = None
-                  ) -> tuple[FiveTuple, int, float] | None:
-    """Decode Ethernet -> IPv4 -> TCP/UDP; returns None for skipped packets.
-
-    length is the IPv4 total-length field (layer-3 bytes).
+    A record is skipped at the first check it fails, in this order: frame
+    shorter than Ethernet (malformed), not IPv4 (non-ipv4), bad IPv4 header
+    length, version, header length or total length (malformed), not TCP or
+    UDP (non-tcp-udp), too short for the ports (malformed). stats gets the
+    reasons in the order of each reason's first skipped record.
     """
-    def skip(reason: str):
-        if stats is not None:
-            stats.skipped[reason] += 1
-        return None
-
-    frame = raw.link_payload
-    if len(frame) < 14:
-        return skip("malformed")
-    ethertype = struct.unpack_from("!H", frame, 12)[0]
-    if ethertype != ETHERTYPE_IPV4:
-        return skip("non-ipv4")
-    ip = frame[14:]
-    if len(ip) < 20:
-        return skip("malformed")
-    ihl = (ip[0] & 0x0F) * 4
-    version = ip[0] >> 4
-    if version != 4 or ihl < 20 or ihl > len(ip):
-        return skip("malformed")
-    total_len = struct.unpack_from("!H", ip, 2)[0]
-    if total_len < ihl or total_len > len(ip):
-        return skip("malformed")
-    proto = ip[9]
-    if proto not in (PROTO_TCP, PROTO_UDP):
-        return skip("non-tcp-udp")
-    if len(ip) < ihl + 4:
-        return skip("malformed")
-    sport, dport = struct.unpack_from("!HH", ip, ihl)
-    src = ".".join(str(b) for b in ip[12:16])
-    dst = ".".join(str(b) for b in ip[16:20])
-    five = FiveTuple(src, dst, sport, dport,
-                     "tcp" if proto == PROTO_TCP else "udp")
+    frame_len = block.length
+    ip_len = frame_len - 14
+    # bytes past the end of a short frame are junk, and fail a check first
+    h = np.take(block.data,
+                block.start[:, None] + np.arange(_ETH_IPV4.itemsize),
+                mode="clip").view(_ETH_IPV4)[:, 0]
+    ihl = (h["version_ihl"] & 0x0F).astype(np.int64) * 4
+    total = h["total_len"].astype(np.int64)
+    proto = h["proto"]
+    reason = np.select(
+        [frame_len < 14,
+         h["ethertype"] != ETHERTYPE_IPV4,
+         (ip_len < 20) | (h["version_ihl"] >> 4 != 4) | (ihl < 20)
+         | (ihl > ip_len) | (total < ihl) | (total > ip_len),
+         (proto != PROTO_TCP) & (proto != PROTO_UDP),
+         ip_len < ihl + 4],
+        [0, 1, 0, 2, 0], default=-1)
+    ok = np.flatnonzero(reason < 0)
     if stats is not None:
-        stats.decoded += 1
-    return five, total_len, raw.timestamp
+        stats.decoded += len(ok)
+        codes, first, counts = np.unique(reason[reason >= 0],
+                                         return_index=True, return_counts=True)
+        for i in np.argsort(first):
+            stats.skipped[_REASONS[codes[i]]] += int(counts[i])
+    ports = np.take(block.data, (block.start[ok] + 14 + ihl[ok])[:, None]
+                    + np.arange(4)).view(">u2").astype(np.uint16)
+    return DecodedPackets(timestamp=block.timestamp[ok],
+                          src=h["src"][ok].astype(np.uint32),
+                          dst=h["dst"][ok].astype(np.uint32),
+                          sport=ports[:, 0], dport=ports[:, 1],
+                          proto=proto[ok], length=total[ok])
 
 
-@dataclass
-class _OpenFlow:
-    tuple_first: FiveTuple
-    last_ts: float
-    arrival_index: int
-    stamps: list[float] = field(default_factory=list)
-    signed: list[int] = field(default_factory=list)
+def _dotted(addr: int) -> str:
+    return ".".join(str(b) for b in addr.to_bytes(4, "big"))
 
 
-def assemble_flows(packets: Iterable[tuple[FiveTuple, int, float]],
+def assemble_flows(packets: DecodedPackets,
                    idle_timeout: float = 60.0) -> list[Flow]:
     """Group decoded packets into bidirectional flows split on idle gaps.
 
-    The first packet to arrive sets a flow's forward direction. Its packets
-    are then stable-sorted by capture timestamp, and rel_time counts from
-    the earliest one, so reordered captures give no negative gaps.
+    Packets share a key when they have the same protocol and the same
+    unordered pair of (address, port) endpoints. Within a key, in file
+    order, a packet more than idle_timeout after the latest earlier
+    timestamp starts a new flow. The first packet of a flow sets its forward
+    direction. Its packets are then stable-sorted by capture timestamp, and
+    rel_time counts from the earliest one, so reordered captures give no
+    negative gaps. Flows come out in the order of their first packets.
     """
-    if idle_timeout <= 0:
+    if not idle_timeout > 0:
         raise ValueError("idle_timeout must be > 0")
-    open_flows: dict[tuple, _OpenFlow] = {}
-    seq_per_key: Counter = Counter()
-    closed: list[tuple[int, Flow]] = []
-    arrival = 0
+    n = len(packets.timestamp)
+    if n == 0:
+        return []
+    a = packets.src.astype(np.uint64) << 16 | packets.sport
+    b = packets.dst.astype(np.uint64) << 16 | packets.dport
+    lo, hi, proto = np.minimum(a, b), np.maximum(a, b), packets.proto
+    # key order; lexsort is stable, so file order within a key
+    order = np.lexsort((proto, hi, lo))
+    lo, hi, proto = lo[order], hi[order], proto[order]
+    ts = packets.timestamp[order]
+    new_key = np.ones(n, dtype=bool)
+    new_key[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]) \
+        | (proto[1:] != proto[:-1])
+    # latest timestamp so far within each key: a running max of timestamp
+    # ranks, offset per key so that no key sees an earlier key's values
+    uniq, rank = np.unique(ts, return_inverse=True)
+    shift = (np.cumsum(new_key) - 1) * len(uniq)
+    latest = uniq[np.maximum.accumulate(rank + shift) - shift]
+    starts = new_key.copy()
+    starts[1:] |= ts[1:] - latest[:-1] > idle_timeout
+    first = np.flatnonzero(starts)
+    flow_of = np.cumsum(starts) - 1
 
-    def close(key: tuple, of: _OpenFlow) -> None:
-        seq = seq_per_key[key]
-        seq_per_key[key] += 1
-        t = of.tuple_first
-        fid = (f"{t.src_addr}:{t.src_port}-{t.dst_addr}:{t.dst_port}"
-               f"/{t.protocol}#{seq}")
-        stamps = np.array(of.stamps)
-        order = np.argsort(stamps, kind="stable")
-        closed.append((of.arrival_index,
-                       Flow(id=fid, five_tuple=t,
-                            times=stamps[order] - stamps[order[0]],
-                            signed=np.array(of.signed)[order])))
+    src, sport = packets.src[order], packets.sport[order]
+    forward = (src == src[first][flow_of]) & (sport == sport[first][flow_of])
+    length = packets.length[order]
+    signed = np.where(forward, length, -length)
+    by_time = np.lexsort((ts, flow_of))  # file order on equal times
+    ts, signed = ts[by_time], signed[by_time]
+    times = np.split(ts - ts[first][flow_of], first[1:])
+    signed = np.split(signed, first[1:])
 
-    for five, length, ts in packets:
-        key = five.canonical_key()
-        of = open_flows.get(key)
-        if of is not None and ts - of.last_ts > idle_timeout:
-            close(key, of)
-            del open_flows[key]
-            of = None
-        if of is None:
-            of = _OpenFlow(tuple_first=five, last_ts=ts, arrival_index=arrival)
-            open_flows[key] = of
-        forward = (five.src_addr, five.src_port) == (of.tuple_first.src_addr,
-                                                     of.tuple_first.src_port)
-        of.stamps.append(ts)
-        of.signed.append(length if forward else -length)
-        of.last_ts = max(of.last_ts, ts)
-        arrival += 1
-
-    for key, of in open_flows.items():
-        close(key, of)
-    closed.sort(key=lambda pair: pair[0])
-    return [flow for _, flow in closed]
+    key_first = np.flatnonzero(new_key[first])  # each key's first flow
+    seq = np.arange(len(first)) - np.repeat(
+        key_first, np.diff(key_first, append=len(first)))
+    arrival = order[first]  # file position of each flow's first packet
+    flows = []
+    for f in np.argsort(arrival).tolist():
+        i = arrival[f]
+        five = FiveTuple(_dotted(int(packets.src[i])),
+                         _dotted(int(packets.dst[i])),
+                         int(packets.sport[i]), int(packets.dport[i]),
+                         "tcp" if packets.proto[i] == PROTO_TCP else "udp")
+        flows.append(Flow(
+            id=f"{five.src_addr}:{five.src_port}-{five.dst_addr}:"
+               f"{five.dst_port}/{five.protocol}#{seq[f]}",
+            five_tuple=five, times=times[f], signed=signed[f]))
+    return flows
 
 
 def ingest_pcap(byte_stream: Union[bytes, IO[bytes]],
@@ -190,10 +232,7 @@ def ingest_pcap(byte_stream: Union[bytes, IO[bytes]],
     """Full ingestion: parse, decode, assemble, filter short flows."""
     from .flows import filter_short_flows
 
-    decoded = []
-    for raw in parse_pcap(byte_stream):
-        out = decode_packet(raw, stats)
-        if out is not None:
-            decoded.append(out)
-    flows = assemble_flows(decoded, idle_timeout=idle_timeout)
+    (block,) = parse_pcap(byte_stream)
+    flows = assemble_flows(decode_packet(block, stats),
+                           idle_timeout=idle_timeout)
     return filter_short_flows(flows, min_packets)

@@ -18,21 +18,40 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
+        # per-parameter scratch for the step, so that it allocates nothing
+        self._num = [np.empty_like(p.value) for p in self.params]
+        self._den = [np.empty_like(p.value) for p in self.params]
 
     def zero_grad(self):
         for p in self.params:
             p.zero_grad()
 
     def step(self):
+        """One bias-corrected update of every parameter, in place.
+
+        The textbook operations in the textbook order, so results are
+        bit-identical to m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+        value -= lr * m_hat / (sqrt(v_hat) + eps).
+        """
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        for p, m, v, num, den in zip(self.params, self.m, self.v, self._num,
+                                     self._den):
             g = p.grad
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            m_hat = self.m[i] / (1 - b1 ** self.t)
-            v_hat = self.v[i] / (1 - b2 ** self.t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= b1
+            m += np.multiply(g, 1 - b1, out=num)
+            v *= b2
+            np.multiply(g, 1 - b2, out=den)
+            den *= g
+            v += den
+            np.divide(m, c1, out=num)
+            num *= self.lr
+            np.divide(v, c2, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            num /= den
+            p.value -= num
 
     def state_dict(self) -> dict:
         return {"t": self.t, "m": [a.copy() for a in self.m],

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, field, replace
+import math
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -39,6 +41,14 @@ class NonFiniteLossError(ValueError):
     pass
 
 
+class ConfigError(ValueError):
+    """A training config with a missing, unknown or ill-typed field."""
+
+
+_COUNTS = ("window", "copies", "pretrain_epochs", "retrain_epochs",
+           "batch_size", "labeled_flows_per_class")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     sampling: SamplingSpec
@@ -53,12 +63,20 @@ class TrainConfig:
     labeled_flows_per_class: int = 20
 
     def __post_init__(self):
-        for name in ("window", "copies", "pretrain_epochs", "retrain_epochs",
-                     "batch_size", "labeled_flows_per_class"):
+        for name in ("seed",) + _COUNTS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in _COUNTS:
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
+                raise ConfigError(f"{name} must be >= 1")
+        if isinstance(self.lr, bool) or not isinstance(self.lr, Real) \
+                or not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be a finite number > 0, "
+                              f"got {self.lr!r}")
+        if not isinstance(self.freeze_trunk, bool):
+            raise ConfigError(f"freeze_trunk must be true or false, "
+                              f"got {self.freeze_trunk!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -67,9 +85,24 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        d["sampling"] = spec_from_dict(d["sampling"])
-        return cls(**d)
+        if not isinstance(d, dict):
+            raise ConfigError("config must be a JSON object")
+        known = {f.name for f in fields(cls)}
+        required = {f.name for f in fields(cls) if f.default is MISSING}
+        if set(d) - known:
+            raise ConfigError(f"unknown config keys {sorted(set(d) - known)}")
+        if required - set(d):
+            raise ConfigError(
+                f"missing config keys {sorted(required - set(d))}")
+        if not isinstance(d["sampling"], dict):
+            raise ConfigError("sampling must be an object, "
+                              f"got {d['sampling']!r}")
+        try:
+            sampling = spec_from_dict(d["sampling"])
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"bad sampling spec {d['sampling']!r}: "
+                              f"{exc!r}") from exc
+        return cls(**{**d, "sampling": sampling})
 
     @classmethod
     def from_json(cls, text: str) -> "TrainConfig":

@@ -109,6 +109,22 @@ class TestIngestCommand:
         assert "--min-packets" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    def test_timeout_not_positive_is_usage_error(self, capsys, tmp_path,
+                                                 value):
+        # a 499 s gap: --timeout nan used to keep both packets in one flow
+        frames = [(pc.udp_frame("10.0.0.1", "10.0.0.2", 1000, 443, 50), t)
+                  for t in (1.0, 500.0)]
+        cap = tmp_path / "t.pcap"
+        cap.write_bytes(pc.pcap(frames))
+        out = tmp_path / "t.flows"
+        code, _, err = run(capsys, "ingest", "--pcap", str(cap),
+                           "--out", str(out), "--min-packets", "1",
+                           "--timeout", value)
+        assert code == 1
+        assert "--timeout" in err
+        assert not out.exists()
+
     def test_truncated_pcap_is_data_error(self, capsys, tmp_path):
         cap = tmp_path / "bad.pcap"
         cap.write_bytes(pc.global_header()[:10])
@@ -219,6 +235,24 @@ class TestPipelineRoundTrip:
                                "--config", str(bad_cfg), "--out", str(out))
         assert code == 2
         assert "epoch 1/2, batch" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change", [
+        {"epochs": 2}, {"copies": "2"}, {"sampling": "fixed"},
+        # one train step: its NaN parameters were saved, exit 0
+        {"lr": float("nan"), "pretrain_epochs": 1, "batch_size": 64}],
+        ids=["unknown-key", "string-count", "sampling-not-object", "nan-lr"])
+    def test_bad_config_is_data_error(self, capsys, workspace, tmp_path,
+                                      change):
+        _, flows_path, cfg_path = workspace
+        bad_cfg = tmp_path / "bad.json"
+        bad_cfg.write_text(json.dumps({**json.loads(cfg_path.read_text()),
+                                       **change}))
+        out = tmp_path / "bad.ckpt"
+        code, _, err = run(capsys, "pretrain", "--flows", str(flows_path),
+                           "--config", str(bad_cfg), "--out", str(out))
+        assert code == 2
+        assert next(iter(change)) in err
         assert not out.exists()
 
     def test_evaluate_garbage_checkpoint_is_data_error(self, capsys,

@@ -326,6 +326,30 @@ class TestAdam:
             oracle.step(2.0 * oracle.theta)
             assert p.value[0] == pytest.approx(oracle.theta, abs=1e-12)
 
+    def test_in_place_step_matches_textbook_bit_for_bit(self):
+        from sampleflow.neural.layers import Param
+        rng = np.random.default_rng(7)
+        shapes = [(3, 4), (5,), (2, 3, 2)]
+        params = [Param(rng.standard_normal(s)) for s in shapes]
+        opt = Adam(params, lr=0.01)
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        value = [p.value.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        for t in range(1, 21):
+            for i, p in enumerate(params):
+                g = p.grad[...] = rng.standard_normal(p.value.shape)
+                m[i] = b1 * m[i] + (1 - b1) * g
+                v[i] = b2 * v[i] + (1 - b2) * g * g
+                m_hat = m[i] / (1 - b1 ** t)
+                v_hat = v[i] / (1 - b2 ** t)
+                value[i] = value[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            opt.step()
+            for i, p in enumerate(params):
+                assert np.array_equal(p.value, value[i])
+                assert np.array_equal(opt.m[i], m[i])
+                assert np.array_equal(opt.v[i], v[i])
+
 
 class TestNetworkConstruction:
     def test_shape_ledger_window_45(self):
