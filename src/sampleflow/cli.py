@@ -16,7 +16,8 @@ from . import (__version__, features, flows, ingest, manifest, pipeline,
                sampling, synth)
 from .manifest import write_manifest
 from .neural import gradcheck as gc
-from .neural import CheckpointError, load_checkpoint, save_checkpoint
+from .neural import (CheckpointError, IncompatibleTrunkError, ShapeError,
+                     load_checkpoint, save_checkpoint)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,24 +78,27 @@ def _require(path: str) -> Path:
     return p
 
 
-def _read_config(path: str) -> dict:
-    cfg = json.loads(_require(path).read_text())
+def _load_config(args, fallback: dict | None = None) -> pipeline.TrainConfig:
+    """The --config file, else fallback (a checkpoint's train_config), with
+    --seed and --freeze-trunk applied over it."""
+    source = args.config or "checkpoint train_config"
+    cfg = fallback or {}
+    if args.config:
+        try:
+            cfg = json.loads(_require(args.config).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise pipeline.ConfigError(
+                f"{source}: not a UTF-8 JSON file ({exc})") from exc
     if not isinstance(cfg, dict):
-        raise pipeline.ConfigError(f"{path}: config must be a JSON object")
-    return cfg
-
-
-def _load_config(args, default_seed_required=True) -> pipeline.TrainConfig:
-    cfg_dict = {}
-    if getattr(args, "config", None):
-        cfg_dict = _read_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg_dict["seed"] = args.seed
-    if "seed" not in cfg_dict and default_seed_required:
+        raise pipeline.ConfigError(f"{source}: config must be a JSON object")
+    cfg = dict(cfg)
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    if "seed" not in cfg:
         raise UsageError("a seed is required (--seed or config file)")
-    if "sampling" not in cfg_dict:
-        raise UsageError("config must define the sampling spec")
-    return pipeline.TrainConfig.from_dict(cfg_dict)
+    if getattr(args, "freeze_trunk", False):
+        cfg["freeze_trunk"] = True
+    return pipeline.TrainConfig.from_dict(cfg)
 
 
 def cmd_ingest(args) -> int:
@@ -166,15 +170,12 @@ def cmd_pretrain(args) -> int:
     in_path = _require(args.flows)
     cfg = _load_config(args)
     flow_list = flows.read_flows(in_path)
-    net = pipeline.pretrain(flow_list, cfg)
-    save_checkpoint(net, args.out,
-                    extra_meta={"train_config": cfg.to_dict(),
-                                "feature_order_version":
-                                    features.FEATURE_ORDER_VERSION})
+    net, history = pipeline.pretrain(flow_list, cfg)
+    save_checkpoint(net, args.out)
     write_manifest(args.out, "pretrain", cfg.to_dict(), cfg.seed,
                    [in_path], started)
     print(f"pretrained on {len(flow_list)} flows, "
-          f"final epoch loss {net.history[-1]:.6f}")
+          f"final epoch loss {history[-1]:.6f}")
     return EXIT_OK
 
 
@@ -183,33 +184,19 @@ def cmd_retrain(args) -> int:
     model_path = _require(args.model)
     in_path = _require(args.flows)
     pretrained, meta = load_checkpoint(model_path)
-    cfg_dict = {}
-    if args.config:
-        cfg_dict = _read_config(args.config)
-    elif "train_config" in meta:
-        cfg_dict = dict(meta["train_config"])
-    if args.seed is not None:
-        cfg_dict["seed"] = args.seed
-    if "seed" not in cfg_dict:
-        raise UsageError("a seed is required (--seed or config file)")
-    if args.freeze_trunk:
-        cfg_dict["freeze_trunk"] = True
-    cfg = pipeline.TrainConfig.from_dict(cfg_dict)
+    cfg = _load_config(args, fallback=meta.get("train_config"))
     classes = args.classes.split(",")
     flow_list = flows.read_flows(in_path)
     if args.no_transfer:
-        net = pipeline.train_supervised_baseline(flow_list, classes, cfg)
+        net, history = pipeline.train_supervised_baseline(flow_list, classes,
+                                                          cfg)
     else:
-        net = pipeline.retrain(pretrained, flow_list, classes, cfg)
-    save_checkpoint(net, args.out,
-                    extra_meta={"train_config": cfg.to_dict(),
-                                "classes": classes,
-                                "feature_order_version":
-                                    features.FEATURE_ORDER_VERSION})
+        net, history = pipeline.retrain(pretrained, flow_list, classes, cfg)
+    save_checkpoint(net, args.out)
     write_manifest(args.out, "retrain", cfg.to_dict(), cfg.seed,
                    [model_path, in_path], started)
     print(f"trained classifier over classes {classes}, "
-          f"final epoch loss {net.history[-1]:.6f}")
+          f"final epoch loss {history[-1]:.6f}")
     return EXIT_OK
 
 
@@ -218,8 +205,9 @@ def cmd_evaluate(args) -> int:
     model_path = _require(args.model)
     in_path = _require(args.flows)
     model, meta = load_checkpoint(model_path)
-    if "train_config" not in meta or "classes" not in meta:
-        raise ValueError(f"{model_path} is not a classifier checkpoint")
+    if meta["kind"] != "classifier" or "train_config" not in meta \
+            or "classes" not in meta:
+        raise CheckpointError(f"{model_path} is not a classifier checkpoint")
     cfg = pipeline.TrainConfig.from_dict(meta["train_config"])
     classes = meta["classes"]
     flow_list = flows.read_flows(in_path)
@@ -369,8 +357,8 @@ DATA_ERRORS = (
     pipeline.NonFiniteLossError,
     pipeline.ConfigError,
     CheckpointError,
-    ValueError,
-    json.JSONDecodeError,
+    ShapeError,
+    IncompatibleTrunkError,
 )
 
 

@@ -177,6 +177,8 @@ def read_flows(source: Sink) -> list[Flow]:
     fh, owned = _open_for(source, "r")
     try:
         lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FlowFormatError(f"not a UTF-8 text file ({exc})") from exc
     finally:
         if owned:
             fh.close()

@@ -12,7 +12,6 @@ import numpy as np
 
 from .layers import (BatchNorm1d, Conv1d, Dense, Flatten, Layer, MaxPool1d,
                      Param, ReLU, ShapeError)
-from .optim import Adam
 
 CHECKPOINT_VERSION = 1
 
@@ -207,18 +206,11 @@ def transfer_trunk(src: Network, dst: Network, freeze: bool = False) -> Network:
     return dst
 
 
-def save_checkpoint(net: Network, path: str | Path,
-                    optimizer: Adam | None = None,
-                    extra_meta: dict | None = None) -> None:
-    meta = {
-        "checkpoint_version": CHECKPOINT_VERSION,
-        "kind": net.meta.get("kind"),
-        "window": net.meta.get("window"),
-        "num_outputs": net.meta.get("num_outputs"),
-        "frozen": [bool(l.frozen) for l in net.layers],
-    }
-    if extra_meta:
-        meta.update(extra_meta)
+def save_checkpoint(net: Network, path: str | Path) -> None:
+    """Write the parameters, batch-norm running stats and the whole of
+    net.meta, so that load_checkpoint restores the same network and meta."""
+    meta = {"checkpoint_version": CHECKPOINT_VERSION, **net.meta,
+            "frozen": [bool(l.frozen) for l in net.layers]}
     arrays: dict[str, np.ndarray] = {}
     for i, layer in enumerate(net.layers):
         for j, p in enumerate(layer.params()):
@@ -226,14 +218,6 @@ def save_checkpoint(net: Network, path: str | Path,
         if isinstance(layer, BatchNorm1d):
             arrays[f"rm{i}"] = layer.running_mean
             arrays[f"rv{i}"] = layer.running_var
-    if optimizer is not None:
-        state = optimizer.state_dict()
-        meta["adam"] = {"t": state["t"], "lr": optimizer.lr,
-                        "beta1": optimizer.beta1, "beta2": optimizer.beta2,
-                        "eps": optimizer.eps}
-        for k, (m, v) in enumerate(zip(state["m"], state["v"])):
-            arrays[f"om{k}"] = m
-            arrays[f"ov{k}"] = v
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     # hand-rolled npz with fixed zip timestamps so identical runs produce
     # byte-identical checkpoint files
@@ -277,18 +261,16 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version "
                               f"{version}")
+    kind = meta.get("kind")
+    if kind not in ("regressor", "classifier"):
+        raise CheckpointError(f"{path}: unknown checkpoint kind {kind!r}")
     try:
-        kind = meta["kind"]
         window = int(meta["window"])
         num_outputs = int(meta["num_outputs"])
+        net = build_regressor(window) if kind == "regressor" \
+            else build_classifier(window, num_outputs)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad metadata ({exc!r})") from exc
-    if kind == "regressor":
-        net = build_regressor(window)
-    elif kind == "classifier":
-        net = build_classifier(window, num_outputs)
-    else:
-        raise CheckpointError(f"{path}: unknown checkpoint kind {kind!r}")
     for i, layer in enumerate(net.layers):
         for j, p in enumerate(layer.params()):
             take(f"p{i}_{j}", p.value)

@@ -53,11 +53,3 @@ class Adam:
             num /= den
             p.value -= num
 
-    def state_dict(self) -> dict:
-        return {"t": self.t, "m": [a.copy() for a in self.m],
-                "v": [a.copy() for a in self.v]}
-
-    def load_state_dict(self, state: dict):
-        self.t = int(state["t"])
-        self.m = [np.array(a, dtype=float) for a in state["m"]]
-        self.v = [np.array(a, dtype=float) for a in state["v"]]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -99,14 +98,17 @@ class TrainConfig:
                               f"got {d['sampling']!r}")
         try:
             sampling = spec_from_dict(d["sampling"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad sampling spec {d['sampling']!r}: "
                               f"{exc!r}") from exc
         return cls(**{**d, "sampling": sampling})
 
-    @classmethod
-    def from_json(cls, text: str) -> "TrainConfig":
-        return cls.from_dict(json.loads(text))
+
+def _sampled_inputs(flow: Flow, cfg: TrainConfig) -> np.ndarray:
+    """Network inputs of the flow's sampled copies, seeded per flow."""
+    rng = derive_rng(cfg.seed, flow.id)
+    return input_matrix(flow, augment(flow, cfg.sampling, cfg.window,
+                                      cfg.copies, rng))
 
 
 def build_regression_dataset(flows: list[Flow], cfg: TrainConfig
@@ -115,9 +117,7 @@ def build_regression_dataset(flows: list[Flow], cfg: TrainConfig
     xs, ys = [], []
     for flow in flows:
         target = normalize_targets(stat_features(flow))
-        rng = derive_rng(cfg.seed, flow.id)
-        x = input_matrix(flow, augment(flow, cfg.sampling, cfg.window,
-                                       cfg.copies, rng))
+        x = _sampled_inputs(flow, cfg)
         xs.append(x)
         ys.append(np.broadcast_to(target, (len(x), len(target))))
     if not xs:
@@ -134,9 +134,7 @@ def build_classification_dataset(flows: list[Flow], classes: list[str],
     for flow in flows:
         if flow.label not in class_index:
             raise LabelError(f"flow {flow.id} has unknown label {flow.label!r}")
-        rng = derive_rng(cfg.seed, flow.id)
-        x = input_matrix(flow, augment(flow, cfg.sampling, cfg.window,
-                                       cfg.copies, rng))
+        x = _sampled_inputs(flow, cfg)
         xs.append(x)
         ys.append(np.full(len(x), class_index[flow.label]))
         ids += [flow.id] * len(x)
@@ -177,8 +175,12 @@ def _train_network(net: Network, x: np.ndarray, y: np.ndarray, loss_fn,
     return history
 
 
-def pretrain(unlabeled: list[Flow], cfg: TrainConfig) -> Network:
-    """Train the regressor to predict flow statistics from sampled windows."""
+def pretrain(unlabeled: list[Flow], cfg: TrainConfig
+             ) -> tuple[Network, list[float]]:
+    """Train the regressor to predict flow statistics from sampled windows.
+
+    Returns the network and its mean training loss per epoch.
+    """
     if not unlabeled:
         raise EmptyDatasetError("no flows to pretrain on")
     x, y = build_regression_dataset(unlabeled, cfg)
@@ -187,12 +189,12 @@ def pretrain(unlabeled: list[Flow], cfg: TrainConfig) -> Network:
                              shuffle_seed=cfg.seed + 1)
     net.meta.update({"train_config": cfg.to_dict(),
                      "feature_order_version": FEATURE_ORDER_VERSION})
-    net.history = history
-    return net
+    return net, history
 
 
 def _train_classifier(labeled: list[Flow], classes: list[str],
-                      cfg: TrainConfig, pretrained: Network | None) -> Network:
+                      cfg: TrainConfig, pretrained: Network | None
+                      ) -> tuple[Network, list[float]]:
     if len(set(classes)) != len(classes):
         raise LabelError("duplicate class names")
     have = {f.label for f in labeled}
@@ -208,18 +210,20 @@ def _train_classifier(labeled: list[Flow], classes: list[str],
     net.meta.update({"train_config": cfg.to_dict(), "classes": list(classes),
                      "feature_order_version": FEATURE_ORDER_VERSION,
                      "pretrained": pretrained is not None})
-    net.history = history
-    return net
+    return net, history
 
 
 def retrain(pretrained: Network, labeled: list[Flow], classes: list[str],
-            cfg: TrainConfig) -> Network:
-    """Transfer the conv trunk and train a classifier head on labeled flows."""
+            cfg: TrainConfig) -> tuple[Network, list[float]]:
+    """Transfer the conv trunk and train a classifier head on labeled flows.
+
+    Returns the network and its mean training loss per epoch.
+    """
     return _train_classifier(labeled, classes, cfg, pretrained)
 
 
 def train_supervised_baseline(labeled: list[Flow], classes: list[str],
-                              cfg: TrainConfig) -> Network:
+                              cfg: TrainConfig) -> tuple[Network, list[float]]:
     """Same architecture and schedule as retrain, without weight transfer."""
     return _train_classifier(labeled, classes, cfg, None)
 
@@ -233,25 +237,13 @@ def _predict_batched(net: Network, x: np.ndarray,
     return np.concatenate(out)
 
 
-def classify(model: Network, flow: Flow, cfg: TrainConfig,
-             vote: str = "majority"):
-    """Predict a flow's class from its sampled copies.
-
-    vote="per_sample" returns the list of per-copy predictions;
-    vote="majority" returns the modal class (ties: lowest class index).
-    """
+def classify(model: Network, flow: Flow, cfg: TrainConfig) -> str:
+    """The modal class of the flow's sampled copies (ties: lowest index)."""
     classes = model.meta.get("classes")
     if classes is None:
         raise ValueError("model carries no class list")
-    rng = derive_rng(cfg.seed, flow.id)
-    x = input_matrix(flow, augment(flow, cfg.sampling, cfg.window, cfg.copies,
-                                   rng))
-    preds = _predict_batched(model, x)
-    if vote == "per_sample":
-        return [classes[i] for i in preds]
-    if vote == "majority":
-        return classes[int(np.bincount(preds, minlength=len(classes)).argmax())]
-    raise ValueError(f"unknown vote mode {vote!r}")
+    preds = _predict_batched(model, _sampled_inputs(flow, cfg))
+    return classes[int(np.bincount(preds, minlength=len(classes)).argmax())]
 
 
 @dataclass

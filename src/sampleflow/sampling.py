@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 from typing import IO, Iterable, Union
 
@@ -51,8 +52,8 @@ class Incremental:
     def __post_init__(self):
         if self.initial_step < 1:
             raise ValueError("initial step must be >= 1")
-        if self.growth < 1.0:
-            raise ValueError("growth factor must be >= 1")
+        if not 1.0 <= self.growth < math.inf:
+            raise ValueError("growth factor must be finite and >= 1")
         if self.stage_len < 1:
             raise ValueError("stage length must be >= 1")
 
@@ -69,14 +70,26 @@ def spec_to_dict(spec: SamplingSpec) -> dict:
             "alpha": spec.growth, "beta": spec.stage_len}
 
 
+def _field(d: dict, name: str, kind: type):
+    """d[name] as an int (kind Integral) or a float (kind Real): bools,
+    strings and non-integral steps are rejected, not converted."""
+    value = d[name]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{name} must be "
+                        f"{'an integer' if kind is Integral else 'a number'}, "
+                        f"got {value!r}")
+    return int(value) if kind is Integral else float(value)
+
+
 def spec_from_dict(d: dict) -> SamplingSpec:
     method = d["method"]
     if method == "fixed":
-        return Fixed(int(d["l"]))
+        return Fixed(_field(d, "l", Integral))
     if method == "random":
-        return Random(float(d["p"]))
+        return Random(_field(d, "p", Real))
     if method == "incremental":
-        return Incremental(int(d["l0"]), float(d["alpha"]), int(d["beta"]))
+        return Incremental(_field(d, "l0", Integral), _field(d, "alpha", Real),
+                           _field(d, "beta", Integral))
     raise ValueError(f"unknown sampling method {method!r}")
 
 

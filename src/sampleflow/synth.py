@@ -8,6 +8,7 @@ cannot separate the classes while sampled windows further in can.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,9 @@ def make_profiles(num_classes: int, seed: int, difficulty: float = 1.0,
     lo, hi = flow_len_range
     if not (100 <= lo <= hi <= 20000):
         raise SynthConfigError("flow_len_range must lie within [100, 20000]")
-    if difficulty <= 0:
-        raise SynthConfigError("difficulty must be > 0")
+    if not (math.isfinite(difficulty) and difficulty > 0):
+        raise SynthConfigError(f"difficulty must be a finite number > 0, "
+                               f"got {difficulty}")
     rng = np.random.default_rng(seed)
     std = 60.0
     fwd_step = 150.0 * difficulty
@@ -135,12 +137,17 @@ def generate(num_classes: int, flows_per_class: int, seed: int,
     if flows_per_class < 1:
         raise SynthConfigError("flows_per_class must be >= 1")
     profiles = make_profiles(num_classes, seed, difficulty, flow_len_range)
-    assert min_pairwise_mean_gap(profiles) >= profiles[0].len_std * min(
-        1.0, difficulty), "class length means are not separable"
+    if not min_pairwise_mean_gap(profiles) >= profiles[0].len_std * min(
+            1.0, difficulty):
+        raise SynthConfigError(f"class length means are not separable at "
+                               f"difficulty {difficulty}")
     flows = []
     for c, profile in enumerate(profiles):
         for f in range(flows_per_class):
             times, signed = _generate_flow(profile, _flow_rng(seed, c, f))
+            if not np.isfinite(times[-1]):
+                raise SynthConfigError(f"difficulty {difficulty} overflows "
+                                       "the inter-arrival times")
             five = FiveTuple(f"10.{c}.{f // 250}.{f % 250 + 1}",
                              "192.0.2.1", 40000 + f % 20000, 443, "udp")
             flows.append(Flow(id=f"synth-{profile.label}-{f}",

@@ -183,15 +183,15 @@ def test_criterion_6_semi_supervised_benchmark(corpus600):
     pre_cfg = TrainConfig(sampling=sampling, seed=2026, window=45, copies=6,
                           pretrain_epochs=50, batch_size=128)
     _, unlabeled = split_per_class(corpus600, 20, seed=11)
-    pretrained = pretrain(unlabeled, pre_cfg)
+    pretrained, _ = pretrain(unlabeled, pre_cfg)
 
     accs, wins = [], 0
     for seed in range(1, 6):
         cfg = TrainConfig(sampling=sampling, seed=seed, window=45, copies=10,
                           retrain_epochs=20, batch_size=128)
         labeled, rest = split_per_class(corpus600, 20, seed=seed)
-        transferred = retrain(pretrained, labeled, classes, cfg)
-        baseline = train_supervised_baseline(labeled, classes, cfg)
+        transferred, _ = retrain(pretrained, labeled, classes, cfg)
+        baseline, _ = train_supervised_baseline(labeled, classes, cfg)
         acc = evaluate(transferred, rest, classes, cfg).macro_accuracy
         base = evaluate(baseline, rest, classes, cfg).macro_accuracy
         accs.append(acc)

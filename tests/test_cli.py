@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from sampleflow import pipeline
 from sampleflow.cli import main
 from sampleflow.features import FEATURE_NAMES, stat_features
 from sampleflow.flows import read_flows, write_flows
@@ -53,6 +54,17 @@ class TestExitCodes:
                            "--method", "incremental", "--params", "8,oops,10",
                            "--seed", "1")
         assert code == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e308", "1e10"])
+    def test_synth_bad_difficulty_is_data_error(self, capsys, tmp_path,
+                                                value):
+        out = tmp_path / "d.flows"
+        code, _, err = run(capsys, "synth", "--classes", "3",
+                           "--flows-per-class", "2", "--seed", "1",
+                           "--difficulty", value, "--out", str(out))
+        assert code == 2
+        assert "difficulty" in err
+        assert not out.exists()
 
     def test_corrupt_flow_file(self, capsys, tmp_path):
         f = tmp_path / "bad.flows"
@@ -149,6 +161,16 @@ def workspace(tmp_path_factory):
     return root, flows_path, cfg_path
 
 
+def pretrained_model(workspace):
+    """The workspace's pretrained checkpoint, made on first use."""
+    root, flows_path, cfg_path = workspace
+    pre = root / "pre.ckpt"
+    if not pre.exists():
+        assert main(["--quiet", "pretrain", "--flows", str(flows_path),
+                     "--config", str(cfg_path), "--out", str(pre)]) == 0
+    return pre
+
+
 class TestPipelineRoundTrip:
     def test_synth_manifest(self, workspace):
         root, flows_path, _ = workspace
@@ -240,8 +262,25 @@ class TestPipelineRoundTrip:
     @pytest.mark.parametrize("change", [
         {"epochs": 2}, {"copies": "2"}, {"sampling": "fixed"},
         # one train step: its NaN parameters were saved, exit 0
-        {"lr": float("nan"), "pretrain_epochs": 1, "batch_size": 64}],
-        ids=["unknown-key", "string-count", "sampling-not-object", "nan-lr"])
+        {"lr": float("nan"), "pretrain_epochs": 1, "batch_size": 64},
+        {"window": 5},
+        # wrong types must not be converted (2.7 to step 2, true to step 1)
+        {"sampling": {"method": "fixed", "l": 2.7}},
+        {"sampling": {"method": "incremental", "l0": True, "alpha": 1.2,
+                      "beta": 10}},
+        {"sampling": {"method": "incremental", "l0": 2, "alpha": 1.2,
+                      "beta": "10"}},
+        {"sampling": {"method": "random", "p": "0.1"}},
+        {"sampling": {"method": "fixed", "l": 0}},
+        {"sampling": {"method": "incremental", "l0": 2, "alpha": 0.5,
+                      "beta": 10}},
+        {"sampling": {"method": "incremental", "l0": 2, "alpha": float("nan"),
+                      "beta": 10}},
+        {"sampling": {"method": "random", "p": 0}}],
+        ids=["unknown-key", "string-count", "sampling-not-object", "nan-lr",
+             "window-too-small", "float-step", "bool-step", "string-stage",
+             "string-p", "zero-step", "growth-below-one", "nan-growth",
+             "zero-p"])
     def test_bad_config_is_data_error(self, capsys, workspace, tmp_path,
                                       change):
         _, flows_path, cfg_path = workspace
@@ -254,6 +293,53 @@ class TestPipelineRoundTrip:
         assert code == 2
         assert next(iter(change)) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "retrain"])
+    def test_config_without_sampling_is_data_error(self, capsys, workspace,
+                                                   tmp_path, command):
+        root, flows_path, cfg_path = workspace
+        cfg = json.loads(cfg_path.read_text())
+        del cfg["sampling"]
+        bad_cfg = tmp_path / "nosampling.json"
+        bad_cfg.write_text(json.dumps(cfg))
+        out = tmp_path / "out.ckpt"
+        argv = ["--flows", str(flows_path), "--config", str(bad_cfg),
+                "--out", str(out)]
+        if command == "retrain":
+            argv += ["--model", str(pretrained_model(workspace)),
+                     "--classes", "c0,c1"]
+        code, _, err = run(capsys, command, *argv)
+        assert code == 2
+        assert "sampling" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("arg", ["--flows", "--config"])
+    def test_binary_input_is_data_error(self, capsys, workspace, tmp_path,
+                                        arg):
+        _, flows_path, cfg_path = workspace
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"\xff\xfe\x00\x81 not text")
+        inputs = {"--flows": flows_path, "--config": cfg_path, arg: binary}
+        out = tmp_path / "out.ckpt"
+        code, _, err = run(capsys, "pretrain",
+                           "--flows", str(inputs["--flows"]),
+                           "--config", str(inputs["--config"]),
+                           "--out", str(out))
+        assert code == 2
+        assert "not a UTF-8" in err
+        assert not out.exists()
+
+    def test_internal_value_error_is_not_a_data_error(self, workspace,
+                                                      monkeypatch):
+        _, flows_path, _ = workspace
+
+        def broken(flows):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(pipeline, "flow_stat_vectors", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["baseline-knn", "--train", str(flows_path),
+                  "--test", str(flows_path)])
 
     def test_evaluate_garbage_checkpoint_is_data_error(self, capsys,
                                                        workspace):
@@ -276,12 +362,9 @@ class TestPipelineRoundTrip:
         assert str(missing) in err
 
     def test_evaluate_rejects_regressor_checkpoint(self, capsys, workspace):
-        root, flows_path, cfg_path = workspace
-        pre = root / "pre.ckpt"
-        if not pre.exists():
-            assert run(capsys, "pretrain", "--flows", str(flows_path),
-                       "--config", str(cfg_path), "--out", str(pre))[0] == 0
-        code, _, err = run(capsys, "evaluate", "--model", str(pre),
+        root, flows_path, _ = workspace
+        code, _, err = run(capsys, "evaluate",
+                           "--model", str(pretrained_model(workspace)),
                            "--flows", str(flows_path),
                            "--report", str(root / "r2.json"))
         assert code == 2

@@ -498,9 +498,10 @@ class TestCheckpoint:
         net.forward(np.random.default_rng(0).standard_normal((8, 2, 45)))
         net.meta["classes"] = ["a", "b", "c", "d"]
         path = tmp_path / "model.ckpt"
-        save_checkpoint(net, path, extra_meta={"classes": ["a", "b", "c", "d"]})
+        save_checkpoint(net, path)
         loaded, meta = load_checkpoint(path)
         assert meta["classes"] == ["a", "b", "c", "d"]
+        assert loaded.meta == net.meta
         x = np.random.default_rng(1).standard_normal((2, 2, 45))
         net.eval(), loaded.eval()
         np.testing.assert_array_equal(net.forward(x), loaded.forward(x))
@@ -544,6 +545,18 @@ class TestCheckpoint:
         save_checkpoint(init_params(build_regressor(45), 0), path)
         rewrite_checkpoint(path, lambda m: m.pop("p3_0.npy"))
         with pytest.raises(CheckpointError, match="p3_0"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("change", [{"num_outputs": 0}, {"window": 5},
+                                        {"kind": "ranker"}],
+                             ids=["no-outputs", "window-too-small",
+                                  "unknown-kind"])
+    def test_bad_structure_metadata(self, tmp_path, change):
+        path = tmp_path / "m.ckpt"
+        net = init_params(build_classifier(45, 3), 0)
+        net.meta.update(change)
+        save_checkpoint(net, path)
+        with pytest.raises(CheckpointError, match="bad metadata|kind"):
             load_checkpoint(path)
 
     # (32, 2, 1) would broadcast into the (32, 2, 5) first conv weight

@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from sampleflow.features import normalize_targets, stat_features
+from sampleflow.features import (FEATURE_ORDER_VERSION, normalize_targets,
+                                 stat_features)
 from sampleflow.flows import FiveTuple, Flow
-from sampleflow.neural import build_regressor, init_params, mse_loss
+from sampleflow.neural import (build_regressor, init_params,
+                               load_checkpoint, mse_loss, save_checkpoint)
 from sampleflow.pipeline import (CoverageError, EmptyDatasetError, KnnClassifier,
                                  LabelError, NonFiniteLossError, TrainConfig,
                                  _train_network,
@@ -245,15 +247,7 @@ class TestClassifyEvaluate:
         cfg = tiny_config(copies=2)
         flip = iter([1, 0])
         model = _StubModel(["0", "1"], lambda: next(flip))
-        per_sample = classify(model, flow, cfg, vote="per_sample")
-        assert per_sample == ["1", "0"]
-        flip = iter([1, 0])
-        assert classify(model, flow, cfg, vote="majority") == "0"
-
-    def test_classify_unknown_vote_mode(self):
-        model = _StubModel(["0"], lambda: 0)
-        with pytest.raises(ValueError):
-            classify(model, make_flow("h", n=40), tiny_config(), vote="mean")
+        assert classify(model, flow, cfg) == "0"
 
     def test_unknown_label_rejected(self):
         flows, cfg, classes = self.dataset()
@@ -320,8 +314,8 @@ class TestTrainingPipeline:
 
     def test_pretrain_deterministic(self, corpus):
         cfg = tiny_config(copies=2, pretrain_epochs=2, window=12)
-        a = pretrain(corpus, cfg)
-        b = pretrain(corpus, cfg)
+        a, _ = pretrain(corpus, cfg)
+        b, _ = pretrain(corpus, cfg)
         assert param_checksum(a) == param_checksum(b)
         assert a.meta["train_config"]["seed"] == cfg.seed
 
@@ -338,15 +332,16 @@ class TestTrainingPipeline:
 
     def test_pretrain_loss_decreases(self, corpus):
         cfg = tiny_config(copies=2, pretrain_epochs=8, window=12)
-        net = pretrain(corpus, cfg)
-        assert net.history[-1] < net.history[0]
+        _, history = pretrain(corpus, cfg)
+        assert len(history) == cfg.pretrain_epochs
+        assert history[-1] < history[0]
 
     def test_retrain_frozen_trunk_untouched(self, corpus):
         cfg = tiny_config(copies=2, window=12, freeze_trunk=True,
                           retrain_epochs=2)
-        pre = pretrain(corpus, cfg)
+        pre, _ = pretrain(corpus, cfg)
         labeled, _ = split_per_class(corpus, 3, seed=1)
-        clf = retrain(pre, labeled, self.classes(corpus), cfg)
+        clf, _ = retrain(pre, labeled, self.classes(corpus), cfg)
         for lp, lc in zip(pre.trunk, clf.trunk):
             for pp, pc in zip(lp.params(), lc.params()):
                 np.testing.assert_array_equal(pp.value, pc.value)
@@ -354,24 +349,39 @@ class TestTrainingPipeline:
     def test_retrain_unfrozen_trunk_moves(self, corpus):
         cfg = tiny_config(copies=2, window=12, freeze_trunk=False,
                           retrain_epochs=2)
-        pre = pretrain(corpus, cfg)
+        pre, _ = pretrain(corpus, cfg)
         labeled, _ = split_per_class(corpus, 3, seed=1)
-        clf = retrain(pre, labeled, self.classes(corpus), cfg)
+        clf, _ = retrain(pre, labeled, self.classes(corpus), cfg)
         pre_params = [p.value for l in pre.trunk for p in l.params()]
         clf_params = [p.value for l in clf.trunk for p in l.params()]
         assert any(not np.array_equal(a, b)
                    for a, b in zip(pre_params, clf_params))
 
-    def test_classifier_metadata(self, corpus):
+    def test_classifier_metadata(self, corpus, tmp_path):
         cfg = tiny_config(copies=2, window=12)
         classes = self.classes(corpus)
-        pre = pretrain(corpus, cfg)
+        pre, _ = pretrain(corpus, cfg)
         labeled, _ = split_per_class(corpus, 2, seed=1)
-        clf = retrain(pre, labeled, classes, cfg)
-        assert clf.meta["classes"] == classes
-        assert clf.meta["pretrained"] is True
-        base = train_supervised_baseline(labeled, classes, cfg)
-        assert base.meta["pretrained"] is False
+        clf, _ = retrain(pre, labeled, classes, cfg)
+        base, _ = train_supervised_baseline(labeled, classes, cfg)
+        assert pre.meta == {
+            "kind": "regressor", "window": 12, "num_outputs": 24,
+            "train_config": cfg.to_dict(),
+            "feature_order_version": FEATURE_ORDER_VERSION}
+        assert clf.meta == {
+            "kind": "classifier", "window": 12, "num_outputs": len(classes),
+            "train_config": cfg.to_dict(), "classes": classes,
+            "feature_order_version": FEATURE_ORDER_VERSION,
+            "pretrained": True}
+        assert base.meta == {**clf.meta, "pretrained": False}
+        # save, load and save again: the same meta and the same bytes
+        first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+        for net in (pre, clf, base):
+            save_checkpoint(net, first)
+            loaded, _ = load_checkpoint(first)
+            assert loaded.meta == net.meta
+            save_checkpoint(loaded, second)
+            assert first.read_bytes() == second.read_bytes()
 
     def test_missing_class_rejected(self, corpus):
         cfg = tiny_config(copies=2, window=12)
@@ -399,10 +409,6 @@ class TestTrainConfig:
     def test_roundtrip(self):
         cfg = tiny_config()
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_json_roundtrip(self):
-        cfg = tiny_config()
-        assert TrainConfig.from_json(json.dumps(cfg.to_dict())) == cfg
 
     def test_validation(self):
         with pytest.raises(ValueError):
