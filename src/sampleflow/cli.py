@@ -239,7 +239,7 @@ def cmd_baseline_knn(args) -> int:
     classes = sorted({label for _, label in train + test})
     index = {c: i for i, c in enumerate(classes)}
     confusion = np.zeros((len(classes), len(classes)), dtype=int)
-    preds = clf.predict_many(np.stack([vec for vec, _ in test]))
+    preds = clf.predict(np.stack([vec for vec, _ in test]))
     for (_, label), pred in zip(test, preds):
         confusion[index[label], index[pred]] += 1
     macro, per_class = pipeline.confusion_metrics(confusion, classes)

@@ -40,17 +40,6 @@ class FiveTuple:
         if self.protocol not in _PROTOCOLS:
             raise ValueError(f"protocol must be tcp or udp, got {self.protocol!r}")
 
-    def canonical_key(self) -> tuple:
-        """Direction-insensitive key: key(a->b) == key(b->a)."""
-        a = (self.src_addr, self.src_port)
-        b = (self.dst_addr, self.dst_port)
-        lo, hi = (a, b) if a <= b else (b, a)
-        return (lo, hi, self.protocol)
-
-    def reversed(self) -> "FiveTuple":
-        return FiveTuple(self.dst_addr, self.src_addr, self.dst_port,
-                         self.src_port, self.protocol)
-
 
 @dataclass(frozen=True)
 class PacketEvent:

@@ -102,7 +102,7 @@ class Conv1d(Layer):
 
 
 class BatchNorm1d(Layer):
-    """Batch normalization over (N, W) per channel for [N,C,W] or [N,C]."""
+    """Batch normalization over (N, W) per channel of an [N,C,W] input."""
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
         self.channels = channels
@@ -116,62 +116,51 @@ class BatchNorm1d(Layer):
     def params(self):
         return [self.gamma, self.beta]
 
-    def _axes(self, x):
-        """Reduction axes and the shape that broadcasts a channel vector."""
-        if x.ndim not in (2, 3):
-            raise ShapeError(f"BatchNorm1d expected [N,C] or [N,C,W], "
-                             f"got {x.shape}")
-        if x.ndim == 2:
-            return (0,), (-1,)
-        return (0, 2), (-1, 1)
-
     def forward(self, x, train):
-        axes, vec = self._axes(x)
-        if x.shape[1] != self.channels:
-            raise ShapeError(f"BatchNorm1d expected {self.channels} channels, "
-                             f"got {x.shape[1]}")
+        if x.ndim != 3 or x.shape[1] != self.channels:
+            raise ShapeError(f"BatchNorm1d expected [N,{self.channels},W], "
+                             f"got {x.shape}")
         use_batch_stats = train and not self.frozen
         if use_batch_stats:
             if x.size // self.channels < 2:
                 raise DegenerateBatchError(
                     "batch norm needs at least 2 values per channel in train mode")
-            mean = x.mean(axis=axes)
-            xc = x - mean.reshape(vec)
-            var = np.square(xc).mean(axis=axes)
+            mean = x.mean(axis=(0, 2))
+            xc = x - mean[:, None]
+            var = np.square(xc).mean(axis=(0, 2))
             self.running_mean = ((1 - self.momentum) * self.running_mean
                                  + self.momentum * mean)
             self.running_var = ((1 - self.momentum) * self.running_var
                                 + self.momentum * var)
         else:
-            xc = x - self.running_mean.reshape(vec)
+            xc = x - self.running_mean[:, None]
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         if not train:
             self._cache = None
-            xc *= (self.gamma.value * inv_std).reshape(vec)
-            xc += self.beta.value.reshape(vec)
+            xc *= (self.gamma.value * inv_std)[:, None]
+            xc += self.beta.value[:, None]
             return xc
-        xc *= inv_std.reshape(vec)  # now x-hat
+        xc *= inv_std[:, None]  # now x-hat
         self._cache = (xc, inv_std, use_batch_stats)
-        y = xc * self.gamma.value.reshape(vec)
-        y += self.beta.value.reshape(vec)
+        y = xc * self.gamma.value[:, None]
+        y += self.beta.value[:, None]
         return y
 
     def backward(self, dy):
         xhat, inv_std, batch_stats = self._cached()
-        axes, vec = self._axes(dy)
-        dgamma = (dy * xhat).sum(axis=axes)
-        dbeta = dy.sum(axis=axes)
+        dgamma = (dy * xhat).sum(axis=(0, 2))
+        dbeta = dy.sum(axis=(0, 2))
         self.gamma.grad += dgamma
         self.beta.grad += dbeta
-        scale = (self.gamma.value * inv_std).reshape(vec)
+        scale = (self.gamma.value * inv_std)[:, None]
         if not batch_stats:
             return dy * scale
         # gamma * inv_std * (dy - sum(dy)/m - xhat * sum(dy * xhat)/m)
         m = dy.size // self.channels
-        dx = xhat * (-dgamma / m).reshape(vec)
+        dx = xhat * (-dgamma / m)[:, None]
         dx += dy
-        dx -= (dbeta / m).reshape(vec)
+        dx -= (dbeta / m)[:, None]
         dx *= scale
         return dx
 

@@ -53,10 +53,6 @@ class Network:
     def trunk(self) -> list[Layer]:
         return self.layers[:self.trunk_len]
 
-    @property
-    def head(self) -> list[Layer]:
-        return self.layers[self.trunk_len:]
-
     def params(self, trainable_only: bool = False) -> list[Param]:
         out = []
         for layer in self.layers:
@@ -271,6 +267,13 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
             else build_classifier(window, num_outputs)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad metadata ({exc!r})") from exc
+    classes = meta.get("classes")
+    if kind == "classifier" and classes is not None and not (
+            isinstance(classes, list) and len(classes) == num_outputs
+            and all(isinstance(c, str) for c in classes)
+            and len(set(classes)) == num_outputs):
+        raise CheckpointError(f"{path}: classes {classes!r} is not a list of "
+                              f"{num_outputs} distinct names")
     for i, layer in enumerate(net.layers):
         for j, p in enumerate(layer.params()):
             take(f"p{i}_{j}", p.value)

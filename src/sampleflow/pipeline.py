@@ -45,7 +45,7 @@ class ConfigError(ValueError):
 
 
 _COUNTS = ("window", "copies", "pretrain_epochs", "retrain_epochs",
-           "batch_size", "labeled_flows_per_class")
+           "batch_size")
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,6 @@ class TrainConfig:
     lr: float = 1e-3
     batch_size: int = 64
     freeze_trunk: bool = False
-    labeled_flows_per_class: int = 20
 
     def __post_init__(self):
         for name in ("seed",) + _COUNTS:
@@ -86,6 +85,8 @@ class TrainConfig:
     def from_dict(cls, d: dict) -> "TrainConfig":
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
+        # retired key, still in configs and checkpoints of earlier versions
+        d = {k: v for k, v in d.items() if k != "labeled_flows_per_class"}
         known = {f.name for f in fields(cls)}
         required = {f.name for f in fields(cls) if f.default is MISSING}
         if set(d) - known:
@@ -342,8 +343,8 @@ def split_per_class(flows: list[Flow], n_train_per_class: int, seed: int
 class KnnClassifier:
     """K-nearest-neighbor vote over normalized statistical feature vectors.
 
-    Distance ties keep training insertion order; vote ties fall back to the
-    nearest neighbor's class.
+    Distance ties keep training insertion order; when more than one class
+    has the top vote count, the answer is the nearest neighbor's class.
     """
 
     def __init__(self, train_stats: list[tuple[np.ndarray, str]], k: int):
@@ -352,24 +353,27 @@ class KnnClassifier:
         if not train_stats:
             raise EmptyDatasetError("no training vectors")
         self.x = np.stack([v for v, _ in train_stats])
-        self.labels = [lab for _, lab in train_stats]
-        self.k = min(k, len(self.labels))
+        self.classes = list(dict.fromkeys(lab for _, lab in train_stats))
+        index = {c: i for i, c in enumerate(self.classes)}
+        self.codes = np.array([index[lab] for _, lab in train_stats])
+        self.k = min(k, len(self.codes))
 
-    def predict(self, vec: np.ndarray) -> str:
-        d = np.linalg.norm(self.x - vec, axis=1)
-        order = np.argsort(d, kind="stable")[:self.k]
-        neighbor_labels = [self.labels[i] for i in order]
-        counts: dict[str, int] = {}
-        for lab in neighbor_labels:
-            counts[lab] = counts.get(lab, 0) + 1
-        best = max(counts.values())
-        tied = [lab for lab, c in counts.items() if c == best]
-        if len(tied) == 1:
-            return tied[0]
-        return neighbor_labels[0]
-
-    def predict_many(self, vecs: np.ndarray) -> list[str]:
-        return [self.predict(v) for v in vecs]
+    def predict(self, vecs: np.ndarray) -> list[str]:
+        """The class of each row of an [m, d] matrix of query vectors."""
+        vecs = np.asarray(vecs)
+        if vecs.ndim != 2:
+            raise ValueError(f"expected an [m, d] matrix, got {vecs.shape}")
+        m = len(vecs)
+        dist = np.empty((m, len(self.x)))
+        for i, vec in enumerate(vecs):
+            dist[i] = np.linalg.norm(self.x - vec, axis=1)
+        order = np.argsort(dist, axis=1, kind="stable")[:, :self.k]
+        nearest = self.codes[order]
+        counts = np.zeros((m, len(self.classes)), dtype=np.int64)
+        np.add.at(counts, (np.arange(m)[:, None], nearest), 1)
+        tied = (counts == counts.max(axis=1, keepdims=True)).sum(axis=1) > 1
+        winner = np.where(tied, nearest[:, 0], counts.argmax(axis=1))
+        return [self.classes[i] for i in winner.tolist()]
 
 
 def knn_baseline(train_stats: list[tuple[np.ndarray, str]],

@@ -220,7 +220,9 @@ def augment(flow: Flow, spec: SamplingSpec, window: int = DEFAULT_WINDOW,
         starts = delta * np.arange(min(max_copies,
                                        (flow_len - span) // delta + 1))
     if isinstance(spec, Fixed):
-        idx = starts[:, None] + spec.step * np.arange(window)
+        # a step past the flow's end samples index 0 only; capping it keeps
+        # the products within int64
+        idx = starts[:, None] + min(spec.step, flow_len) * np.arange(window)
         return np.where(idx < flow_len, idx, -1)
     return _incremental_rows(spec, starts, flow_len, window)
 

@@ -78,15 +78,18 @@ def make_profiles(num_classes: int, seed: int, difficulty: float = 1.0,
             motif_lengths=motif,
             flow_len_range=flow_len_range,
         ))
+    if not all(math.isfinite(v) for p in profiles
+               for v in (p.fwd_len_mean, p.bwd_len_mean, p.iat_mu)):
+        raise SynthConfigError(f"difficulty {difficulty} overflows the "
+                               "class profiles")
     return profiles
 
 
 def min_pairwise_mean_gap(profiles: list[ClassProfile]) -> float:
     """Smallest L2 distance between class (fwd, bwd) length-mean vectors."""
-    means = np.array([[p.fwd_len_mean, p.bwd_len_mean] for p in profiles])
-    gaps = [float(np.linalg.norm(means[a] - means[b]))
-            for a in range(len(profiles)) for b in range(a + 1, len(profiles))]
-    return min(gaps)
+    return min(math.hypot(a.fwd_len_mean - b.fwd_len_mean,
+                          a.bwd_len_mean - b.bwd_len_mean)
+               for i, a in enumerate(profiles) for b in profiles[i + 1:])
 
 
 def _generate_flow(profile: ClassProfile, rng: np.random.Generator) -> tuple:

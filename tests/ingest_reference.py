@@ -25,6 +25,13 @@ _MAGICS = {
 }
 
 
+def canonical_key(five: FiveTuple) -> tuple:
+    """Direction-insensitive key of a 5-tuple: key(a->b) == key(b->a)."""
+    a = (five.src_addr, five.src_port)
+    b = (five.dst_addr, five.dst_port)
+    return (min(a, b), max(a, b), five.protocol)
+
+
 def parse_records(data: bytes) -> list[tuple[float, bytes]]:
     """(timestamp, frame) of each record, in file order."""
     if len(data) < 24:
@@ -111,7 +118,7 @@ def assemble(packets: list[tuple[FiveTuple, int, float]],
                             signed=np.array(of.signed)[order])))
 
     for arrival, (five, length, ts) in enumerate(packets):
-        key = five.canonical_key()
+        key = canonical_key(five)
         of = open_flows.get(key)
         if of is not None and ts - of.last_ts > idle_timeout:
             close(key, of)

@@ -27,6 +27,7 @@ from sampleflow.pipeline import (TrainConfig, confusion_metrics, evaluate,
 from sampleflow.sampling import Fixed, Incremental, Random, sample_indices
 from sampleflow.synth import generate
 from tests import pcaputil as pc
+from tests.ingest_reference import canonical_key
 from tests.test_features import brute_force_stats, make_flow
 from tests.test_sampling import simulate
 
@@ -154,8 +155,9 @@ def test_criterion_4_adam_oracle():
 def test_criterion_5_shape_ledger():
     ok = flatten_width(45) == 320
     for net, out in ((build_regressor(45), 24), (build_classifier(45, 7), 7)):
-        sizes = [l.out_features for l in net.head if isinstance(l, Dense)]
-        first = next(l for l in net.head if isinstance(l, Dense))
+        head = net.layers[net.trunk_len:]
+        sizes = [l.out_features for l in head if isinstance(l, Dense)]
+        first = next(l for l in head if isinstance(l, Dense))
         ok = ok and sizes == [256, 128, 128, out] and first.in_features == 320
     # a deviating pool parameter must fail construction
     trunk = _make_trunk()
@@ -209,8 +211,10 @@ def test_criterion_7_knn_ceiling(corpus600):
     knn = knn_baseline(flow_stat_vectors(labeled), k=5)
     index = {c: i for i, c in enumerate(classes)}
     confusion = np.zeros((len(classes), len(classes)), dtype=int)
-    for vec, label in flow_stat_vectors(rest):
-        confusion[index[label], index[knn.predict(vec)]] += 1
+    test = flow_stat_vectors(rest)
+    preds = knn.predict(np.stack([vec for vec, _ in test]))
+    for (_, label), pred in zip(test, preds):
+        confusion[index[label], index[pred]] += 1
     macro, _ = confusion_metrics(confusion, classes)
     ok = macro >= 0.95
     report(7, f"knn stat-feature ceiling {macro:.4f}", ok)
@@ -287,7 +291,7 @@ def test_criterion_9_ingestion_conservation():
     ok = ok and [len(f.packets) for f in flows] == [33] * 6 + [2]
     by_tuple = {}
     for f in flows:
-        by_tuple.setdefault(f.five_tuple.canonical_key(), []).append(f)
+        by_tuple.setdefault(canonical_key(f.five_tuple), []).append(f)
     ok = ok and sorted(len(v) for v in by_tuple.values()) == [1] * 5 + [2]
 
     # direction fixture for tuple 1: alternating senders, first defines fwd;
@@ -301,7 +305,7 @@ def test_criterion_9_ingestion_conservation():
                     for j, p in enumerate(t1.packets))
     # the split flow restarts its clock after the idle gap
     split = flows[6]
-    ok = ok and split.five_tuple.canonical_key() == \
-        flows[0].five_tuple.canonical_key()
+    ok = ok and canonical_key(split.five_tuple) == \
+        canonical_key(flows[0].five_tuple)
     ok = ok and [round(p.rel_time, 6) for p in split.packets] == [0.0, 0.05]
     report(9, "pcap ingestion conservation and splits", ok)

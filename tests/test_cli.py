@@ -9,6 +9,7 @@ from sampleflow import pipeline
 from sampleflow.cli import main
 from sampleflow.features import FEATURE_NAMES, stat_features
 from sampleflow.flows import read_flows, write_flows
+from sampleflow.neural import load_checkpoint, save_checkpoint
 from sampleflow.synth import generate
 from tests import pcaputil as pc
 
@@ -55,7 +56,8 @@ class TestExitCodes:
                            "--seed", "1")
         assert code == 1
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "1e308", "1e10"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e308", "1e306",
+                                       "1e300", "1e10"])
     def test_synth_bad_difficulty_is_data_error(self, capsys, tmp_path,
                                                 value):
         out = tmp_path / "d.flows"
@@ -171,6 +173,13 @@ def pretrained_model(workspace):
     return pre
 
 
+def rewrite_meta(src, dst, change):
+    """Save the checkpoint at src to dst with change applied to its meta."""
+    net, _ = load_checkpoint(src)
+    change(net.meta)
+    save_checkpoint(net, dst)
+
+
 class TestPipelineRoundTrip:
     def test_synth_manifest(self, workspace):
         root, flows_path, _ = workspace
@@ -235,6 +244,16 @@ class TestPipelineRoundTrip:
         assert payload["manifest"]["seed"] == 3
         digest = hashlib.sha256(flows_path.read_bytes()).hexdigest()
         assert payload["manifest"]["inputs"] == {str(flows_path): digest}
+
+    def test_sample_fixed_step_beyond_int64(self, capsys, workspace):
+        root, flows_path, _ = workspace
+        code, stdout, _ = run(capsys, "sample", "--flows", str(flows_path),
+                              "--out", str(root / "huge.jsonl"),
+                              "--method", "fixed",
+                              "--params", "100000000000000000000",
+                              "--seed", "3")
+        assert code == 0
+        assert "wrote 8 sampled copies" in stdout  # index 0 of each flow
 
     def test_sample_window_zero_is_usage_error(self, capsys, workspace):
         root, flows_path, _ = workspace
@@ -369,6 +388,40 @@ class TestPipelineRoundTrip:
                            "--report", str(root / "r2.json"))
         assert code == 2
         assert "classifier" in err
+
+    def test_checkpoints_with_retired_key(self, capsys, workspace):
+        # earlier versions wrote labeled_flows_per_class into train_config
+        root, flows_path, _ = workspace
+
+        def add_key(meta):
+            meta["train_config"]["labeled_flows_per_class"] = 20
+
+        old_pre, clf = root / "old_pre.ckpt", root / "old_clf.ckpt"
+        rewrite_meta(pretrained_model(workspace), old_pre, add_key)
+        code, _, _ = run(capsys, "retrain", "--model", str(old_pre),
+                         "--flows", str(flows_path), "--classes", "c0,c1",
+                         "--out", str(clf))
+        assert code == 0
+        rewrite_meta(clf, clf, add_key)
+        code, _, _ = run(capsys, "evaluate", "--model", str(clf),
+                         "--flows", str(flows_path),
+                         "--report", str(root / "old.json"))
+        assert code == 0
+
+    def test_evaluate_rejects_class_list_of_wrong_length(self, capsys,
+                                                         workspace):
+        root, flows_path, _ = workspace
+        clf, bad = root / "two.ckpt", root / "three_names.ckpt"
+        assert main(["--quiet", "retrain", "--model",
+                     str(pretrained_model(workspace)), "--flows",
+                     str(flows_path), "--classes", "c0,c1",
+                     "--out", str(clf)]) == 0
+        rewrite_meta(clf, bad, lambda m: m.update(classes=["c0", "c1", "c2"]))
+        code, _, err = run(capsys, "evaluate", "--model", str(bad),
+                           "--flows", str(flows_path),
+                           "--report", str(root / "bad.json"))
+        assert code == 2
+        assert "classes" in err
 
     def test_baseline_knn(self, capsys, workspace):
         root, flows_path, _ = workspace

@@ -176,9 +176,10 @@ class TestAssembleFlows:
 
         expected = {}
         for five, length, ts in trace:
-            expected.setdefault(five.canonical_key(), []).append((length, ts))
+            expected.setdefault(ref.canonical_key(five), []).append(
+                (length, ts))
         for f in flows:
-            key = f.five_tuple.canonical_key()
+            key = ref.canonical_key(f.five_tuple)
             got = [(abs(p.signed_length),
                     pytest.approx(p.rel_time + expected[key][0][1]))
                    for p in f.packets]

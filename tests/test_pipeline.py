@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sampleflow.features import (FEATURE_ORDER_VERSION, normalize_targets,
                                  stat_features)
@@ -147,26 +149,62 @@ class TestKnn:
                  (np.array([1.0, 0.0]), "b"),
                  (np.array([0.0, 1.0]), "c")]
         knn = KnnClassifier(stats, k=1)
-        assert [knn.predict(v) for v, _ in stats] == ["a", "b", "c"]
+        assert knn.predict(np.stack([v for v, _ in stats])) == ["a", "b", "c"]
 
     def test_majority_vote(self):
         stats = [(np.array([0.0]), "a"), (np.array([0.1]), "a"),
                  (np.array([10.0]), "b")]
-        assert KnnClassifier(stats, k=3).predict(np.array([0.05])) == "a"
+        assert KnnClassifier(stats, k=3).predict(np.array([[0.05]])) == ["a"]
 
     def test_vote_tie_goes_to_nearest(self):
         stats = [(np.array([0.0]), "x"), (np.array([2.0]), "y")]
         # query 0.9: both within k=2, one vote each; nearest is "x"
-        assert KnnClassifier(stats, k=2).predict(np.array([0.9])) == "x"
+        assert KnnClassifier(stats, k=2).predict(np.array([[0.9]])) == ["x"]
+
+    def test_vote_tie_outside_nearest_class(self):
+        # k=5: "a" once, "b" and "c" twice each; the tie between b and c
+        # goes to the nearest neighbor's class, "a", though a is not tied
+        stats = [(np.array([x]), lab) for x, lab in
+                 ((0.0, "a"), (1.0, "b"), (1.1, "b"), (1.2, "c"), (1.3, "c"))]
+        assert KnnClassifier(stats, k=5).predict(np.array([[0.0]])) == ["a"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matrix_matches_per_row_rule(self, data):
+        # small integer grids give many distance and vote ties
+        n = data.draw(st.integers(1, 12))
+        m = data.draw(st.integers(0, 8))
+        grid = st.lists(st.integers(-2, 2), min_size=2, max_size=2)
+        x = np.array(data.draw(st.lists(grid, min_size=n, max_size=n)),
+                     dtype=float)
+        q = np.array(data.draw(st.lists(grid, min_size=m, max_size=m)),
+                     dtype=float).reshape(m, 2)
+        labels = data.draw(st.lists(st.sampled_from("abc"), min_size=n,
+                                    max_size=n))
+        k = data.draw(st.integers(1, 14))
+        knn = KnnClassifier(list(zip(x, labels)), k=k)
+        expected = []
+        for vec in q:
+            d = np.linalg.norm(x - vec, axis=1)
+            top = [labels[i] for i in np.argsort(d, kind="stable")[:k]]
+            counts = {c: top.count(c) for c in top}
+            best = [c for c, v in counts.items() if v == max(counts.values())]
+            expected.append(best[0] if len(best) == 1 else top[0])
+        assert knn.predict(q) == expected
+
+    def test_rejects_single_vector(self):
+        knn = KnnClassifier([(np.zeros(2), "a")], k=1)
+        with pytest.raises(ValueError):
+            knn.predict(np.zeros(2))
 
     def test_distance_tie_stable(self):
         stats = [(np.array([0.0]), "p"), (np.array([2.0]), "q")]
         # exactly equidistant: stable sort keeps insertion order
-        assert KnnClassifier(stats, k=1).predict(np.array([1.0])) == "p"
+        assert KnnClassifier(stats, k=1).predict(np.array([[1.0]])) == ["p"]
 
     def test_k_clamped_to_population(self):
         stats = [(np.array([float(i)]), "a" if i else "b") for i in range(3)]
-        assert KnnClassifier(stats, k=50).predict(np.array([2.0])) == "a"
+        assert KnnClassifier(stats, k=50).predict(np.array([[2.0]])) == ["a"]
 
     def test_leave_in_matches_bruteforce(self):
         rng = np.random.default_rng(0)
@@ -176,6 +214,7 @@ class TestKnn:
         X[y == 2] -= 2.0
         labels = [f"c{c}" for c in y]
         knn = KnnClassifier(list(zip(X, labels)), k=5)
+        preds = knn.predict(X[:20])
 
         for i in range(20):
             d = [(float(np.sqrt(np.sum((X[j] - X[i]) ** 2))), j)
@@ -188,7 +227,7 @@ class TestKnn:
             best = max(counts.values())
             winners = {c for c, n in counts.items() if n == best}
             expected = winners.pop() if len(winners) == 1 else top[0]
-            assert knn.predict(X[i]) == expected, i
+            assert preds[i] == expected, i
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -392,7 +431,7 @@ class TestTrainingPipeline:
     def test_knn_on_stat_vectors(self, corpus):
         labeled, rest = split_per_class(corpus, 4, seed=2)
         knn = knn_baseline(flow_stat_vectors(labeled), k=3)
-        preds = knn.predict_many(np.stack(
+        preds = knn.predict(np.stack(
             [v for v, _ in flow_stat_vectors(rest)]))
         correct = sum(p == f.label for p, f in zip(preds, rest))
         # separable synthetic classes: the baseline must beat chance easily

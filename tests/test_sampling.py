@@ -261,6 +261,12 @@ class TestAugmentMatchesSampleIndices:
         assert [valid(row) for row in got] == \
             [sample_indices(spec, 0, flow_len, 45)]
 
+    @pytest.mark.parametrize("step", [2 ** 62, 2 ** 63, 10 ** 20])
+    def test_step_beyond_int64(self, step):
+        got = augment(make_flow(50), Fixed(step), 45, 100)
+        assert [valid(row) for row in got] == \
+            [sample_indices(Fixed(step), 0, 50, 45)]
+
     def test_random_block_grows(self):
         # more draws than the first block holds: the copies still follow
         # the scalar stream, and the generator ends where it would

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,19 @@ class TestProfiles:
         easy = min_pairwise_mean_gap(make_profiles(6, 0, difficulty=1.0))
         hard = min_pairwise_mean_gap(make_profiles(6, 0, difficulty=0.5))
         assert hard < easy
+
+    def test_gap_finite_for_finite_means(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gap = min_pairwise_mean_gap(make_profiles(26, 0, difficulty=1e305))
+        assert gap == pytest.approx(150e305)
+
+    @pytest.mark.parametrize("difficulty", [1e300, 1e306, 1e308])
+    def test_huge_difficulty_is_config_error(self, difficulty):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SynthConfigError, match="difficulty"):
+                generate(3, 1, seed=1, difficulty=difficulty)
 
     def test_validation(self):
         with pytest.raises(SynthConfigError):
