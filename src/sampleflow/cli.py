@@ -16,8 +16,8 @@ from . import (__version__, features, flows, ingest, manifest, pipeline,
                sampling, synth)
 from .manifest import write_manifest
 from .neural import gradcheck as gc
-from .neural import (CheckpointError, IncompatibleTrunkError, ShapeError,
-                     load_checkpoint, save_checkpoint)
+from .neural import (CheckpointError, ShapeError, load_checkpoint,
+                     save_checkpoint)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -358,7 +358,6 @@ DATA_ERRORS = (
     pipeline.ConfigError,
     CheckpointError,
     ShapeError,
-    IncompatibleTrunkError,
 )
 
 

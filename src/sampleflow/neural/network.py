@@ -24,10 +24,6 @@ INPUT_CHANNELS = 2
 REGRESSION_OUTPUTS = 24
 
 
-class IncompatibleTrunkError(ValueError):
-    pass
-
-
 class CheckpointError(ValueError):
     """A checkpoint file that cannot be read or does not fit its network."""
 
@@ -173,25 +169,10 @@ def init_params(net: Network, seed: int) -> Network:
     return net
 
 
-def trunk_signature(net: Network) -> list[tuple]:
-    sig = []
-    for layer in net.trunk:
-        if isinstance(layer, Conv1d):
-            sig.append(("conv", layer.in_channels, layer.out_channels,
-                        layer.kernel))
-        elif isinstance(layer, BatchNorm1d):
-            sig.append(("bn", layer.channels))
-        elif isinstance(layer, MaxPool1d):
-            sig.append(("pool", layer.kernel))
-        else:
-            sig.append((type(layer).__name__.lower(),))
-    return sig
-
-
 def transfer_trunk(src: Network, dst: Network, freeze: bool = False) -> Network:
-    """Copy trunk parameters and batch-norm running stats from src into dst."""
-    if trunk_signature(src) != trunk_signature(dst):
-        raise IncompatibleTrunkError("trunk layer specs do not match")
+    """Copy trunk parameters and batch-norm running stats from src into dst.
+
+    Every network's trunk comes from _make_trunk, so the two always match."""
     for s_layer, d_layer in zip(src.trunk, dst.trunk):
         for s_p, d_p in zip(s_layer.params(), d_layer.params()):
             d_p.value[...] = s_p.value

@@ -128,20 +128,22 @@ def build_regression_dataset(flows: list[Flow], cfg: TrainConfig
 
 def build_classification_dataset(flows: list[Flow], classes: list[str],
                                  cfg: TrainConfig
-                                 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Sampled copies with inherited labels; also returns per-copy flow ids."""
+                                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sampled copies with inherited labels; also returns each copy's flow
+    position in flows (int64), which tells apart flows that share an id."""
     class_index = {c: i for i, c in enumerate(classes)}
-    xs, ys, ids = [], [], []
+    xs, ys = [], []
     for flow in flows:
         if flow.label not in class_index:
             raise LabelError(f"flow {flow.id} has unknown label {flow.label!r}")
         x = _sampled_inputs(flow, cfg)
         xs.append(x)
         ys.append(np.full(len(x), class_index[flow.label]))
-        ids += [flow.id] * len(x)
     if not xs:
         raise EmptyDatasetError("no sampled copies could be built")
-    return np.concatenate(xs), np.concatenate(ys), ids
+    flow_of = np.repeat(np.arange(len(xs), dtype=np.int64),
+                        [len(x) for x in xs])
+    return np.concatenate(xs), np.concatenate(ys), flow_of
 
 
 def _train_network(net: Network, x: np.ndarray, y: np.ndarray, loss_fn,
@@ -293,7 +295,7 @@ def evaluate(model: Network, test_flows: list[Flow], classes: list[str],
     """Copy-level confusion and metrics, plus flow-level majority accuracy."""
     if not test_flows:
         raise EmptyEvalError("empty test set")
-    x, y, ids = build_classification_dataset(test_flows, classes, cfg)
+    x, y, flow_of = build_classification_dataset(test_flows, classes, cfg)
     preds = _predict_batched(model, x)
     k = len(classes)
     confusion = np.zeros((k, k), dtype=int)
@@ -302,8 +304,9 @@ def evaluate(model: Network, test_flows: list[Flow], classes: list[str],
 
     # flow-level vote: modal copy prediction (ties: lowest class index)
     # against the label of the flow's first copy
-    _, first, flow_of = np.unique(ids, return_index=True, return_inverse=True)
-    votes = np.zeros((len(first), k), dtype=int)
+    n_flows = len(test_flows)
+    first = np.searchsorted(flow_of, np.arange(n_flows))
+    votes = np.zeros((n_flows, k), dtype=int)
     np.add.at(votes, (flow_of, preds), 1)
     votes_right = int((votes.argmax(axis=1) == y[first]).sum())
     return EvalReport(
@@ -312,21 +315,24 @@ def evaluate(model: Network, test_flows: list[Flow], classes: list[str],
         per_class=per_class,
         confusion=confusion.tolist(),
         n_sampled=int(x.shape[0]),
-        n_flows=len(first),
-        flow_majority_accuracy=votes_right / len(first),
+        n_flows=n_flows,
+        flow_majority_accuracy=votes_right / n_flows,
     )
 
 
 def split_per_class(flows: list[Flow], n_train_per_class: int, seed: int
                     ) -> tuple[list[Flow], list[Flow]]:
-    """Seeded per-class split: exactly n_train_per_class flows into train."""
-    by_class: dict[str, list[Flow]] = {}
-    for f in flows:
+    """Seeded per-class split: exactly n_train_per_class flows into train.
+
+    Flows are told apart by position, so flows that share an id are not
+    merged."""
+    by_class: dict[str, list[int]] = {}
+    for i, f in enumerate(flows):
         if f.label is None:
             raise LabelError(f"flow {f.id} has no label")
-        by_class.setdefault(f.label, []).append(f)
+        by_class.setdefault(f.label, []).append(i)
     rng = np.random.default_rng(seed)
-    train_ids = set()
+    train_pos = set()
     for label in sorted(by_class):
         group = by_class[label]
         if n_train_per_class > 0 and len(group) <= n_train_per_class:
@@ -334,9 +340,9 @@ def split_per_class(flows: list[Flow], n_train_per_class: int, seed: int
                 f"class {label!r} has only {len(group)} flows, need more than "
                 f"{n_train_per_class}")
         chosen = rng.choice(len(group), size=n_train_per_class, replace=False)
-        train_ids.update(group[i].id for i in chosen)
-    train = [f for f in flows if f.id in train_ids]
-    test = [f for f in flows if f.id not in train_ids]
+        train_pos.update(group[i] for i in chosen)
+    train = [f for i, f in enumerate(flows) if i in train_pos]
+    test = [f for i, f in enumerate(flows) if i not in train_pos]
     return train, test
 
 

@@ -93,67 +93,38 @@ def spec_from_dict(d: dict) -> SamplingSpec:
     raise ValueError(f"unknown sampling method {method!r}")
 
 
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
-
-
 def sample_indices(spec: SamplingSpec, start: int, flow_len: int, window: int,
                    rng: np.random.Generator | None = None) -> list[int]:
-    """Packet indices selected by the sampling strategy, at most window many."""
+    """Packet indices selected by the sampling strategy, at most window many:
+    the row augment's builders give for this start, without its padding."""
     if start < 0 or start >= flow_len:
         raise InvalidStartError(f"start {start} out of range for flow of "
                                 f"{flow_len} packets")
     if window < 1:
         raise ValueError("window must be >= 1")
-    if isinstance(spec, Fixed):
-        return list(range(start, flow_len, spec.step))[:window]
     if isinstance(spec, Random):
         if rng is None:
             raise ValueError("random sampling requires an rng")
-        out = []
-        for i in range(start, flow_len):
-            if rng.random() < spec.probability:
-                out.append(i)
-                if len(out) == window:
-                    break
-        return out
-    # incremental: real-valued step and position, round-half-up on emission
-    out = []
-    step = float(spec.initial_step)
-    pos = float(start)
-    emitted_in_stage = 0
-    while len(out) < window:
-        idx = _round_half_up(pos)
-        if idx >= flow_len:
-            break
-        out.append(idx)
-        emitted_in_stage += 1
-        if emitted_in_stage == spec.stage_len:
-            step *= spec.growth
-            emitted_in_stage = 0
-        pos += step
-    return out
+        row = _random_rows(spec, start, flow_len, window, 1, rng)[0]
+    else:
+        row = _stepped_rows(spec, np.array([start]), flow_len, window)[0]
+    return row[row >= 0].tolist()
 
 
-def window_span(spec: SamplingSpec, window: int) -> int:
-    """Packets a full window consumes from its start (fixed/incremental only)."""
-    if isinstance(spec, Fixed):
-        return (window - 1) * spec.step + 1
-    if isinstance(spec, Incremental):
-        idx = sample_indices(spec, 0, flow_len=1 << 62, window=window)
-        return idx[-1] + 1
-    raise TypeError("window_span is undefined for random sampling")
+def _stepped_rows(spec: Fixed | Incremental, starts: np.ndarray,
+                  flow_len: int, window: int) -> np.ndarray:
+    """Fixed or incremental indices from each start, as rows padded with -1.
 
-
-def _incremental_rows(spec: Incremental, starts: np.ndarray, flow_len: int,
-                      window: int) -> np.ndarray:
-    """sample_indices for each start, as rows padded with -1.
-
-    Positions are summed left to right from float(start), step by step, as
-    sample_indices does, so they round the same way.
+    Fixed is the integer closed form. Incremental sums positions left to
+    right from float(start), step by step, and rounds each half up. A first
+    step at or past the flow's end lets no later index fit either way, so it
+    is capped at flow_len: huge steps stay within int64 and float range.
     """
+    if isinstance(spec, Fixed):
+        idx = starts[:, None] + min(spec.step, flow_len) * np.arange(window)
+        return np.where(idx < flow_len, idx, -1)
     steps = []
-    step = float(spec.initial_step)
+    step = float(min(spec.initial_step, flow_len))
     for k in range(1, window):
         if k % spec.stage_len == 0:
             step *= spec.growth
@@ -165,25 +136,28 @@ def _incremental_rows(spec: Incremental, starts: np.ndarray, flow_len: int,
     return np.where(idx < flow_len, idx, -1).astype(np.int64)
 
 
-def _random_rows(spec: Random, flow_len: int, window: int, copies: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """sample_indices from start 0, copies times in a row, from one block of
-    draws. The generator ends where the scalar loops would leave it."""
+def _random_rows(spec: Random, start: int, flow_len: int, window: int,
+                 copies: int, rng: np.random.Generator) -> np.ndarray:
+    """Random indices from start, copies times in a row, from one block of
+    draws: one uniform draw per scanned index, start..flow_len-1. The
+    generator ends where drawing them one at a time would leave it."""
+    n = flow_len - start
     state = rng.bit_generator.state
-    draws = rng.random(min(copies * flow_len, _RANDOM_BLOCK))
+    draws = rng.random(min(copies * n, _RANDOM_BLOCK))
     rows = np.full((copies, window), -1, dtype=np.int64)
     used = 0
     for c in range(copies):
         while True:
-            scan = draws[used:used + flow_len]
+            scan = draws[used:used + n]
             hits = np.flatnonzero(scan < spec.probability)[:window]
-            if len(hits) == window or len(scan) == flow_len:
+            if len(hits) == window or len(scan) == n:
                 break
             draws = np.concatenate([draws, rng.random(len(draws))])
         rows[c, :len(hits)] = hits
-        used += int(hits[-1]) + 1 if len(hits) == window else flow_len
+        used += int(hits[-1]) + 1 if len(hits) == window else n
     rng.bit_generator.state = state
     rng.bit_generator.advance(used)
+    np.add(rows, start, out=rows, where=rows >= 0)
     return rows
 
 
@@ -210,21 +184,15 @@ def augment(flow: Flow, spec: SamplingSpec, window: int = DEFAULT_WINDOW,
     if isinstance(spec, Random):
         if rng is None:
             raise ValueError("random sampling requires an rng")
-        return _random_rows(spec, flow_len, window, max_copies, rng)
+        return _random_rows(spec, 0, flow_len, window, max_copies, rng)
 
-    span = window_span(spec, window)
-    if span > flow_len:
-        starts = np.zeros(1, dtype=np.int64)
-    else:
-        delta = max(1, (flow_len - span) // max_copies)
-        starts = delta * np.arange(min(max_copies,
-                                       (flow_len - span) // delta + 1))
-    if isinstance(spec, Fixed):
-        # a step past the flow's end samples index 0 only; capping it keeps
-        # the products within int64
-        idx = starts[:, None] + min(spec.step, flow_len) * np.arange(window)
-        return np.where(idx < flow_len, idx, -1)
-    return _incremental_rows(spec, starts, flow_len, window)
+    first = _stepped_rows(spec, np.zeros(1, dtype=np.int64), flow_len, window)
+    if first[0, -1] < 0:
+        return first  # a full window does not fit: one partial copy
+    room = flow_len - 1 - int(first[0, -1])
+    delta = max(1, room // max_copies)
+    starts = delta * np.arange(min(max_copies, room // delta + 1))
+    return _stepped_rows(spec, starts, flow_len, window)
 
 
 def derive_rng(master_seed: int, flow_id: str) -> np.random.Generator:

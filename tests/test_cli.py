@@ -255,6 +255,31 @@ class TestPipelineRoundTrip:
         assert code == 0
         assert "wrote 8 sampled copies" in stdout  # index 0 of each flow
 
+    def test_sample_incremental_step_beyond_float(self, capsys, workspace):
+        root, flows_path, _ = workspace
+        code, stdout, _ = run(capsys, "sample", "--flows", str(flows_path),
+                              "--out", str(root / "huge-inc.jsonl"),
+                              "--method", "incremental",
+                              "--params", f"{10 ** 400},1.5,2",
+                              "--seed", "3")
+        assert code == 0
+        assert "wrote 8 sampled copies" in stdout  # index 0 of each flow
+
+    def test_pretrain_incremental_step_beyond_float(self, capsys, workspace,
+                                                     tmp_path):
+        _, flows_path, cfg_path = workspace
+        cfg = {**json.loads(cfg_path.read_text()), "pretrain_epochs": 1,
+               "sampling": {"method": "incremental", "l0": 10 ** 400,
+                            "alpha": 1.5, "beta": 2}}
+        cfg_file = tmp_path / "huge.json"
+        cfg_file.write_text(json.dumps(cfg))
+        out = tmp_path / "huge.ckpt"
+        # 8 flows, one copy each, batch size 8: one train step
+        code, _, _ = run(capsys, "pretrain", "--flows", str(flows_path),
+                         "--config", str(cfg_file), "--out", str(out))
+        assert code == 0
+        assert out.exists()
+
     def test_sample_window_zero_is_usage_error(self, capsys, workspace):
         root, flows_path, _ = workspace
         code, _, err = run(capsys, "sample", "--flows", str(flows_path),

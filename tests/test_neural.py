@@ -5,7 +5,6 @@ import pytest
 
 from sampleflow.neural import (Adam, BatchNorm1d, CheckpointError, Conv1d,
                                DegenerateBatchError, Dense, Flatten,
-                               IncompatibleTrunkError,
                                MaxPool1d, Network, ReLU, ShapeError,
                                build_classifier, build_regressor,
                                cross_entropy_loss, init_params,
@@ -463,13 +462,6 @@ class TestTransferTrunk:
         opt.step()
         after = [p.value for l in dst.trunk for p in l.params()]
         assert any(not np.array_equal(a, b) for a, b in zip(snapshot, after))
-
-    def test_incompatible_trunk(self):
-        src = init_params(build_regressor(45), 1)
-        dst = init_params(build_classifier(45, 3), 2)
-        dst.layers[0] = Conv1d(2, 16, 5)
-        with pytest.raises(IncompatibleTrunkError):
-            transfer_trunk(src, dst)
 
 
 def rewrite_checkpoint(path, edit):

@@ -137,6 +137,15 @@ class TestSplitPerClass:
         b, _ = split_per_class(self.flows(), 2, seed=5)
         assert [f.id for f in a] == [f.id for f in b]
 
+    def test_shared_id_not_merged(self):
+        flows = self.flows()
+        flows[1].id = flows[0].id  # two flows of class "a", one id
+        for seed in range(10):
+            labeled, rest = split_per_class(flows, 2, seed=seed)
+            assert [f.label for f in labeled].count("a") == 2
+            assert len(labeled) == 6 and len(rest) == 19
+            assert {id(f) for f in labeled}.isdisjoint(id(f) for f in rest)
+
     def test_unlabeled_rejected(self):
         flows = self.flows() + [make_flow("x", label=None)]
         with pytest.raises(LabelError):
@@ -273,6 +282,16 @@ class TestClassifyEvaluate:
         assert cm.sum() == len(y) == report.n_sampled
         np.testing.assert_array_equal(cm, np.diag(cm.diagonal()))
 
+    def test_shared_id_not_merged(self):
+        flows, cfg, classes = self.dataset()
+        flows[1].id = flows[0].id  # flows of classes "1" and "0", one id
+        _, y, _ = build_classification_dataset(flows, classes, cfg)
+        answers = iter(int(t) for t in y)
+        model = _StubModel(classes, lambda: next(answers))
+        report = evaluate(model, flows, classes, cfg)
+        assert report.n_flows == 12
+        assert report.flow_majority_accuracy == 1.0
+
     def test_constant_stub(self):
         flows, cfg, classes = self.dataset()
         model = _StubModel(classes, lambda: 0)
@@ -317,10 +336,11 @@ class TestDatasets:
         flows = [make_flow("c0", n=50, label="a", seed=1),
                  make_flow("c1", n=50, label="b", seed=2)]
         cfg = tiny_config(copies=3)
-        _, y, ids = build_classification_dataset(flows, ["a", "b"], cfg)
-        assert set(ids) == {"c0", "c1"}
-        for fid, cls in zip(ids, y):
-            assert cls == (0 if fid == "c0" else 1)
+        _, y, pos = build_classification_dataset(flows, ["a", "b"], cfg)
+        assert pos.dtype == np.int64
+        assert set(pos.tolist()) == {0, 1}
+        for p, cls in zip(pos, y):
+            assert cls == (0 if p == 0 else 1)
 
     def test_deterministic_given_seed(self):
         flows = [make_flow("d0", n=80, seed=4)]

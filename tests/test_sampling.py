@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sampleflow.flows import FiveTuple, Flow
 from sampleflow.sampling import (Fixed, Incremental, InvalidStartError, Random,
                                  augment, derive_rng, sample_indices,
-                                 spec_from_dict, spec_to_dict, window_span)
+                                 spec_from_dict, spec_to_dict)
 
 
 def rng(seed=0):
@@ -27,8 +27,11 @@ def valid(row):
     return [int(i) for i in row if i >= 0]
 
 
-def simulate(spec, start, flow_len, window, seed=None):
-    """Independent re-implementation of each sampling definition."""
+def simulate(spec, start, flow_len, window, seed=None, gen=None):
+    """Independent re-implementation of each sampling definition.
+
+    Random draws from gen, or from a new generator seeded with seed.
+    flow_len may be math.inf, for the whole row of an unbounded flow."""
     if isinstance(spec, Fixed):
         out = []
         i = start
@@ -37,7 +40,7 @@ def simulate(spec, start, flow_len, window, seed=None):
             i += spec.step
         return out
     if isinstance(spec, Random):
-        gen = np.random.default_rng(seed)
+        gen = np.random.default_rng(seed) if gen is None else gen
         out = []
         i = start
         while i < flow_len and len(out) < window:
@@ -60,6 +63,11 @@ def simulate(spec, start, flow_len, window, seed=None):
             since_growth = 0
         pos += step
     return out
+
+
+def oracle_span(spec, window):
+    """Packets a full fixed or incremental window consumes from its start."""
+    return simulate(spec, 0, math.inf, window)[-1] + 1
 
 
 class TestSampleIndices:
@@ -104,10 +112,12 @@ class TestSampleIndices:
                 simulate(spec, start, flow_len, window)
         else:
             spec = Random(float(gen.uniform(0.01, 1.0)))
-            seed = case
-            got = sample_indices(spec, start, flow_len, window,
-                                 np.random.default_rng(seed))
-            assert got == simulate(spec, start, flow_len, window, seed)
+            got_gen, want_gen = rng(case), rng(case)
+            got = sample_indices(spec, start, flow_len, window, got_gen)
+            assert got == simulate(spec, start, flow_len, window,
+                                   gen=want_gen)
+            assert got_gen.bit_generator.state == \
+                want_gen.bit_generator.state
 
     @given(st.integers(1, 30), st.integers(1, 12), st.integers(0, 50),
            st.integers(1, 60), st.integers(51, 2000))
@@ -206,7 +216,7 @@ class TestAugment:
         copies = augment(flow, spec, window=45, max_copies=100)
         starts = [int(c[0]) for c in copies]
         assert starts == sorted(set(starts))
-        span = window_span(spec, 45)
+        span = oracle_span(spec, 45)
         assert all(s + span <= 1500 for s in starts)
 
     def test_empty_flow_rejected(self):
@@ -215,15 +225,16 @@ class TestAugment:
 
 
 def scalar_augment(flow_len, spec, window, max_copies, gen):
-    """Per-copy reference: sample_indices at each start of the schedule."""
+    """Per-copy reference: the simulate oracle at each start of the
+    schedule."""
     if isinstance(spec, Random):
-        return [sample_indices(spec, 0, flow_len, window, gen)
+        return [simulate(spec, 0, flow_len, window, gen=gen)
                 for _ in range(max_copies)]
-    span = window_span(spec, window)
+    span = oracle_span(spec, window)
     if span > flow_len:
-        return [sample_indices(spec, 0, flow_len, window)]
+        return [simulate(spec, 0, flow_len, window)]
     delta = max(1, (flow_len - span) // max_copies)
-    return [sample_indices(spec, start, flow_len, window)
+    return [simulate(spec, start, flow_len, window)
             for start in range(0, flow_len - span + 1, delta)][:max_copies]
 
 
@@ -256,16 +267,34 @@ class TestAugmentMatchesSampleIndices:
 
     @pytest.mark.parametrize("spec", [Fixed(30), Incremental(8, 1.2, 10)])
     def test_short_flow_single_partial_row(self, spec):
-        flow_len = window_span(spec, 45) - 1
+        flow_len = oracle_span(spec, 45) - 1
         got = augment(make_flow(flow_len), spec, 45, 100)
         assert [valid(row) for row in got] == \
-            [sample_indices(spec, 0, flow_len, 45)]
+            [simulate(spec, 0, flow_len, 45)]
 
     @pytest.mark.parametrize("step", [2 ** 62, 2 ** 63, 10 ** 20])
     def test_step_beyond_int64(self, step):
         got = augment(make_flow(50), Fixed(step), 45, 100)
-        assert [valid(row) for row in got] == \
-            [sample_indices(Fixed(step), 0, 50, 45)]
+        assert [valid(row) for row in got] == [[0]]
+
+    @pytest.mark.parametrize("l0", [2 ** 62, 10 ** 20, 10 ** 400],
+                             ids=["2**62", "10**20", "10**400"])
+    def test_incremental_step_beyond_flow(self, l0):
+        # the first step leaves the flow, so no full window fits: one
+        # partial copy, as for a fixed step (l0 = 10**400 is past the
+        # float range)
+        spec = Incremental(l0, 1.5, 2)
+        got = augment(make_flow(50), spec, 45, 100)
+        assert got.dtype == np.int64
+        assert got.tolist() == [[0] + [-1] * 44]
+        assert sample_indices(spec, 7, 50, 45) == [7]
+
+    def test_incremental_growth_past_float_range(self):
+        # the step after the first stage overflows to inf
+        spec = Incremental(10 ** 15, 1e300, 2)
+        assert augment(make_flow(50), spec, 5, 10).tolist() == \
+            [[0, -1, -1, -1, -1]]
+        assert sample_indices(spec, 3, 50, 5) == [3]
 
     def test_random_block_grows(self):
         # more draws than the first block holds: the copies still follow
