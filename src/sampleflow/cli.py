@@ -206,7 +206,7 @@ def cmd_evaluate(args) -> int:
     in_path = _require(args.flows)
     model, meta = load_checkpoint(model_path)
     if meta["kind"] != "classifier" or "train_config" not in meta \
-            or "classes" not in meta:
+            or meta.get("classes") is None:
         raise CheckpointError(f"{model_path} is not a classifier checkpoint")
     cfg = pipeline.TrainConfig.from_dict(meta["train_config"])
     classes = meta["classes"]

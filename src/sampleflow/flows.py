@@ -75,12 +75,13 @@ class Flow:
 
     @property
     def packets(self) -> tuple[PacketEvent, ...]:
-        """Per-packet view of the columns, for callers outside the package."""
+        """Per-packet view of the columns. Outside its own tests the last
+        reader is perfbench/workloads.py; it goes once that reads columns."""
         return tuple(PacketEvent(t, s) for t, s in
                      zip(self.times.tolist(), self.signed.tolist()))
 
 
-def filter_short_flows(flows: Iterable[Flow], min_packets: int = 100) -> list[Flow]:
+def filter_short_flows(flows: Iterable[Flow], min_packets: int) -> list[Flow]:
     """Drop flows with fewer than min_packets packets, preserving order."""
     if min_packets < 1:
         raise ValueError("min_packets must be >= 1")
@@ -129,13 +130,17 @@ def _packet_columns(pkts, line: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _record_to_flow(rec: dict, line: int) -> Flow:
+    label = rec.get("label")
+    if label is not None and not isinstance(label, str):
+        raise FlowFormatError(f"label must be a string or null, got {label!r}",
+                              line)
     try:
         t = rec["tuple"]
         five = FiveTuple(t["src"], t["dst"], int(t["sport"]), int(t["dport"]),
                          t["proto"])
         times, signed = _packet_columns(rec["pkts"], line)
         return Flow(id=str(rec["id"]), five_tuple=five, times=times,
-                    signed=signed, label=rec.get("label"))
+                    signed=signed, label=label)
     except FlowFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

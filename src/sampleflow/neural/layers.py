@@ -104,10 +104,11 @@ class Conv1d(Layer):
 class BatchNorm1d(Layer):
     """Batch normalization over (N, W) per channel of an [N,C,W] input."""
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
+    eps = 1e-5
+    momentum = 0.1
+
+    def __init__(self, channels: int):
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Param(np.ones(channels))
         self.beta = Param(np.zeros(channels))
         self.running_mean = np.zeros(channels)
@@ -171,7 +172,7 @@ class MaxPool1d(Layer):
     Backward sends each window's gradient to its first maximum.
     """
 
-    def __init__(self, kernel: int = 3):
+    def __init__(self, kernel: int):
         self.kernel = kernel
 
     def forward(self, x, train):

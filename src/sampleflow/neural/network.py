@@ -129,7 +129,7 @@ def _assert_shapes(net: Network, window: int, out_features: int) -> None:
     net.train()
 
 
-def build_regressor(window: int = 45) -> Network:
+def build_regressor(window: int) -> Network:
     net = _build(window, REGRESSION_OUTPUTS)
     net.meta = {"kind": "regressor", "window": window,
                 "num_outputs": REGRESSION_OUTPUTS}
@@ -169,7 +169,7 @@ def init_params(net: Network, seed: int) -> Network:
     return net
 
 
-def transfer_trunk(src: Network, dst: Network, freeze: bool = False) -> Network:
+def transfer_trunk(src: Network, dst: Network, freeze: bool) -> Network:
     """Copy trunk parameters and batch-norm running stats from src into dst.
 
     Every network's trunk comes from _make_trunk, so the two always match."""
@@ -185,9 +185,9 @@ def transfer_trunk(src: Network, dst: Network, freeze: bool = False) -> Network:
 
 def save_checkpoint(net: Network, path: str | Path) -> None:
     """Write the parameters, batch-norm running stats and the whole of
-    net.meta, so that load_checkpoint restores the same network and meta."""
-    meta = {"checkpoint_version": CHECKPOINT_VERSION, **net.meta,
-            "frozen": [bool(l.frozen) for l in net.layers]}
+    net.meta, so that load_checkpoint restores the same network and meta.
+    Frozen flags are not saved: a retrain sets them from its config."""
+    meta = {"checkpoint_version": CHECKPOINT_VERSION, **net.meta}
     arrays: dict[str, np.ndarray] = {}
     for i, layer in enumerate(net.layers):
         for j, p in enumerate(layer.params()):
@@ -241,12 +241,14 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
     kind = meta.get("kind")
     if kind not in ("regressor", "classifier"):
         raise CheckpointError(f"{path}: unknown checkpoint kind {kind!r}")
+    window, num_outputs = meta.get("window"), meta.get("num_outputs")
+    if not all(type(v) is int for v in (window, num_outputs)):
+        raise CheckpointError(f"{path}: bad metadata: window {window!r} and "
+                              f"num_outputs {num_outputs!r} must be integers")
     try:
-        window = int(meta["window"])
-        num_outputs = int(meta["num_outputs"])
         net = build_regressor(window) if kind == "regressor" \
             else build_classifier(window, num_outputs)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CheckpointError(f"{path}: bad metadata ({exc!r})") from exc
     classes = meta.get("classes")
     if kind == "classifier" and classes is not None and not (
@@ -261,8 +263,7 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
         if isinstance(layer, BatchNorm1d):
             take(f"rm{i}", layer.running_mean)
             take(f"rv{i}", layer.running_var)
-    for layer, frozen in zip(net.layers, meta.get("frozen", [])):
-        layer.frozen = bool(frozen)
+    # "frozen" is a per-layer list that earlier versions wrote; it is dropped
     net.meta.update({k: v for k, v in meta.items()
                      if k not in ("checkpoint_version", "frozen")})
     return net, meta

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 from numbers import Integral, Real
 
 import numpy as np
@@ -231,22 +231,13 @@ def train_supervised_baseline(labeled: list[Flow], classes: list[str],
     return _train_classifier(labeled, classes, cfg, None)
 
 
-def _predict_batched(net: Network, x: np.ndarray,
-                     batch: int = 512) -> np.ndarray:
+def _predict_batched(net: Network, x: np.ndarray) -> np.ndarray:
+    """The arg-max class of each row of x, forwarded 512 rows at a time."""
     net.eval()
     out = []
-    for lo in range(0, x.shape[0], batch):
-        out.append(net.forward(x[lo:lo + batch]).argmax(axis=1))
+    for lo in range(0, x.shape[0], 512):
+        out.append(net.forward(x[lo:lo + 512]).argmax(axis=1))
     return np.concatenate(out)
-
-
-def classify(model: Network, flow: Flow, cfg: TrainConfig) -> str:
-    """The modal class of the flow's sampled copies (ties: lowest index)."""
-    classes = model.meta.get("classes")
-    if classes is None:
-        raise ValueError("model carries no class list")
-    preds = _predict_batched(model, _sampled_inputs(flow, cfg))
-    return classes[int(np.bincount(preds, minlength=len(classes)).argmax())]
 
 
 @dataclass
@@ -383,7 +374,7 @@ class KnnClassifier:
 
 
 def knn_baseline(train_stats: list[tuple[np.ndarray, str]],
-                 k: int = 5) -> KnnClassifier:
+                 k: int) -> KnnClassifier:
     return KnnClassifier(train_stats, k)
 
 

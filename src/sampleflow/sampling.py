@@ -14,8 +14,6 @@ import numpy as np
 
 from .flows import Flow
 
-DEFAULT_WINDOW = 45
-DEFAULT_MAX_COPIES = 100
 # most uniform draws random sampling takes in its first block (copies x
 # flow length is enough for every copy); doubled while a copy needs more
 _RANDOM_BLOCK = 1 << 16
@@ -161,8 +159,7 @@ def _random_rows(spec: Random, start: int, flow_len: int, window: int,
     return rows
 
 
-def augment(flow: Flow, spec: SamplingSpec, window: int = DEFAULT_WINDOW,
-            max_copies: int = DEFAULT_MAX_COPIES,
+def augment(flow: Flow, spec: SamplingSpec, window: int, max_copies: int,
             rng: np.random.Generator | None = None) -> np.ndarray:
     """Sample one flow up to max_copies times.
 

@@ -227,7 +227,6 @@ def test_criterion_8_determinism(tmp_path):
     from sampleflow.cli import main
     from sampleflow.flows import read_flows
     from sampleflow.neural import load_checkpoint
-    from sampleflow.pipeline import classify
 
     cfg = {"sampling": {"method": "fixed", "l": 2}, "seed": 3, "window": 10,
            "copies": 2, "pretrain_epochs": 3, "retrain_epochs": 3,
@@ -251,13 +250,13 @@ def test_criterion_8_determinism(tmp_path):
                      "--out", str(clf), "--config", str(cfg_path)]) == 0
         model, meta = load_checkpoint(clf)
         train_cfg = TrainConfig.from_dict(meta["train_config"])
-        labels = [classify(model, f, train_cfg)
-                  for f in read_flows(fl)]
+        evaluated = evaluate(model, read_flows(fl), meta["classes"],
+                             train_cfg).to_dict()
         hashes = {p.name: json.loads(
                       (d / (p.name + ".manifest.json")).read_text()
                   )["outputs"][str(p)]
                   for p in (fl, pre, clf)}
-        runs.append((labels, hashes,
+        runs.append((evaluated, hashes,
                      hashlib.sha256(clf.read_bytes()).hexdigest()))
     ok = runs[0] == runs[1]
     report(8, "end-to-end determinism across identical runs", ok)
@@ -285,10 +284,10 @@ def test_criterion_9_ingestion_conservation():
     flows = ingest_pcap(pc.pcap(frames), min_packets=1, stats=stats)
 
     ok = stats.decoded == 200
-    ok = ok and sum(len(f.packets) for f in flows) == 200
+    ok = ok and sum(len(f) for f in flows) == 200
     ok = ok and len(flows) == 7  # six tuples plus one timeout split
     # hand-computed fixture: flows emerge ordered by first-packet arrival
-    ok = ok and [len(f.packets) for f in flows] == [33] * 6 + [2]
+    ok = ok and [len(f) for f in flows] == [33] * 6 + [2]
     by_tuple = {}
     for f in flows:
         by_tuple.setdefault(canonical_key(f.five_tuple), []).append(f)
@@ -299,13 +298,13 @@ def test_criterion_9_ingestion_conservation():
     t1 = flows[1]
     ok = ok and t1.five_tuple.src_addr == "10.0.0.2"
     expected_signs = [129 if j % 2 == 0 else -129 for j in range(33)]
-    ok = ok and [p.signed_length for p in t1.packets] == expected_signs
+    ok = ok and t1.signed.tolist() == expected_signs
     # rebased times: tuple 1 occupies indices 1, 7, 13, ... -> 0.3 s apart
-    ok = ok and all(abs(p.rel_time - 0.3 * j) < 1e-9
-                    for j, p in enumerate(t1.packets))
+    ok = ok and all(abs(t - 0.3 * j) < 1e-9
+                    for j, t in enumerate(t1.times.tolist()))
     # the split flow restarts its clock after the idle gap
     split = flows[6]
     ok = ok and canonical_key(split.five_tuple) == \
         canonical_key(flows[0].five_tuple)
-    ok = ok and [round(p.rel_time, 6) for p in split.packets] == [0.0, 0.05]
+    ok = ok and [round(t, 6) for t in split.times.tolist()] == [0.0, 0.05]
     report(9, "pcap ingestion conservation and splits", ok)

@@ -12,6 +12,7 @@ from sampleflow.flows import read_flows, write_flows
 from sampleflow.neural import load_checkpoint, save_checkpoint
 from sampleflow.synth import generate
 from tests import pcaputil as pc
+from tests.test_neural import rewrite_meta_text
 
 
 def run(capsys, *argv):
@@ -171,6 +172,27 @@ def pretrained_model(workspace):
         assert main(["--quiet", "pretrain", "--flows", str(flows_path),
                      "--config", str(cfg_path), "--out", str(pre)]) == 0
     return pre
+
+
+def classifier_model(workspace):
+    """A classifier retrained from the workspace's pretrained checkpoint."""
+    root, flows_path, _ = workspace
+    clf = root / "c01.ckpt"
+    if not clf.exists():
+        assert main(["--quiet", "retrain", "--model",
+                     str(pretrained_model(workspace)), "--flows",
+                     str(flows_path), "--classes", "c0,c1",
+                     "--out", str(clf)]) == 0
+    return clf
+
+
+def evaluate_report(model, flows_path, report):
+    """The evaluate report at model, without its manifest (which names it)."""
+    assert main(["--quiet", "evaluate", "--model", str(model), "--flows",
+                 str(flows_path), "--report", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    del payload["manifest"]
+    return payload
 
 
 def rewrite_meta(src, dst, change):
@@ -436,17 +458,72 @@ class TestPipelineRoundTrip:
     def test_evaluate_rejects_class_list_of_wrong_length(self, capsys,
                                                          workspace):
         root, flows_path, _ = workspace
-        clf, bad = root / "two.ckpt", root / "three_names.ckpt"
-        assert main(["--quiet", "retrain", "--model",
-                     str(pretrained_model(workspace)), "--flows",
-                     str(flows_path), "--classes", "c0,c1",
-                     "--out", str(clf)]) == 0
-        rewrite_meta(clf, bad, lambda m: m.update(classes=["c0", "c1", "c2"]))
+        bad = root / "three_names.ckpt"
+        rewrite_meta(classifier_model(workspace), bad,
+                     lambda m: m.update(classes=["c0", "c1", "c2"]))
         code, _, err = run(capsys, "evaluate", "--model", str(bad),
                            "--flows", str(flows_path),
                            "--report", str(root / "bad.json"))
         assert code == 2
         assert "classes" in err
+
+    def test_evaluate_rejects_null_class_list(self, capsys, workspace):
+        root, flows_path, _ = workspace
+        bad = root / "null_classes.ckpt"
+        rewrite_meta(classifier_model(workspace), bad,
+                     lambda m: m.update(classes=None))
+        code, _, err = run(capsys, "evaluate", "--model", str(bad),
+                           "--flows", str(flows_path),
+                           "--report", str(root / "null.json"))
+        assert code == 2
+        assert "not a classifier checkpoint" in err
+
+    # earlier versions wrote a per-layer "frozen" list; it is ignored
+    @pytest.mark.parametrize("frozen", [None, [True] * 14 + [False] * 7],
+                             ids=["null", "list"])
+    def test_checkpoints_with_old_frozen_key(self, capsys, workspace, tmp_path,
+                                             frozen):
+        _, flows_path, _ = workspace
+
+        def add_key(text):
+            return json.dumps({**json.loads(text), "frozen": frozen})
+
+        old_pre, clf = tmp_path / "old_pre.ckpt", tmp_path / "clf.ckpt"
+        old_pre.write_bytes(pretrained_model(workspace).read_bytes())
+        rewrite_meta_text(old_pre, add_key)
+        assert main(["--quiet", "retrain", "--model", str(old_pre),
+                     "--flows", str(flows_path), "--classes", "c0,c1",
+                     "--out", str(clf)]) == 0
+        assert clf.read_bytes() == classifier_model(workspace).read_bytes()
+        want = evaluate_report(clf, flows_path, tmp_path / "want.json")
+        rewrite_meta_text(clf, add_key)
+        assert evaluate_report(clf, flows_path, tmp_path / "got.json") == want
+
+    @pytest.mark.parametrize("command,label", [
+        ("retrain", ["x"]), ("evaluate", ["x"]), ("baseline-knn", ["x"]),
+        ("baseline-knn", 5)], ids=["retrain", "evaluate", "knn-list",
+                                   "knn-int"])
+    def test_flow_label_not_string_is_data_error(self, capsys, workspace,
+                                                 tmp_path, command, label):
+        _, flows_path, _ = workspace
+        lines = flows_path.read_text().splitlines()
+        rec = json.loads(lines[3])
+        rec["label"] = label
+        lines[3] = json.dumps(rec)
+        bad = tmp_path / "bad.flows"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = {
+            "retrain": ["--model", str(pretrained_model(workspace)),
+                        "--flows", str(bad), "--classes", "c0,c1",
+                        "--out", str(tmp_path / "c.ckpt")],
+            "evaluate": ["--model", str(classifier_model(workspace)),
+                         "--flows", str(bad),
+                         "--report", str(tmp_path / "r.json")],
+            "baseline-knn": ["--train", str(bad), "--test", str(bad)],
+        }[command]
+        code, _, err = run(capsys, command, *argv)
+        assert code == 2
+        assert "line 4: label must be a string or null" in err
 
     def test_baseline_knn(self, capsys, workspace):
         root, flows_path, _ = workspace

@@ -27,16 +27,15 @@ def rows(window, *copies):
 
 
 def brute_force_input(flow, indices, window):
-    """Per-copy reference: one slot at a time, from the per-packet view."""
-    packets = flow.packets
+    """Per-copy reference: one slot at a time, from Python scalars."""
+    times, signed = flow.times.tolist(), flow.signed.tolist()
     data = np.zeros((2, window))
     prev_t = None
     for k, j in enumerate(indices):
-        data[1, k] = min(max(packets[j].signed_length / MAX_LENGTH_BYTES,
-                             -1.0), 1.0)
+        data[1, k] = min(max(signed[j] / MAX_LENGTH_BYTES, -1.0), 1.0)
         if k > 0:
-            data[0, k] = min(packets[j].rel_time - prev_t, MAX_IAT_SECONDS)
-        prev_t = packets[j].rel_time
+            data[0, k] = min(times[j] - prev_t, MAX_IAT_SECONDS)
+        prev_t = times[j]
     return data
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sampleflow.flows import (FiveTuple, Flow, FlowFormatError,
-                              FlowVersionError, PacketEvent,
+                              FlowVersionError,
                               filter_short_flows, read_flows, write_flows)
 from sampleflow.synth import generate
 
@@ -89,7 +89,8 @@ class TestFlowFile:
         flows[0].times[2] = 0.1 + 0.2
         flows[0].signed[2] = -77
         assert roundtrip(flows) == flows
-        assert roundtrip(flows)[0].packets[2] == PacketEvent(0.1 + 0.2, -77)
+        back = roundtrip(flows)[0]
+        assert (back.times[2], back.signed[2]) == (0.1 + 0.2, -77)
 
     def test_negative_rel_time_names_line(self):
         buf = io.StringIO()
@@ -113,6 +114,18 @@ class TestFlowFile:
     def test_bad_packets_rejected(self, pkts, message):
         with pytest.raises(FlowFormatError, match=message):
             read_flows(io.StringIO(flow_file(pkts)))
+
+    @pytest.mark.parametrize("label", [["x"], 5, 1.5, True, {"a": "b"}],
+                             ids=["list", "int", "float", "bool", "object"])
+    def test_label_not_string_or_null_names_line(self, label):
+        buf = io.StringIO()
+        write_flows([make_flow(label="ok"), make_flow(fid="f1")], buf)
+        lines = buf.getvalue().splitlines()
+        rec = json.loads(lines[2])
+        rec["label"] = label
+        lines[2] = json.dumps(rec)
+        with pytest.raises(FlowFormatError, match="line 3: label"):
+            read_flows(io.StringIO("\n".join(lines) + "\n"))
 
     def test_record_not_an_object(self):
         with pytest.raises(FlowFormatError, match="line 2"):

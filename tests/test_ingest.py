@@ -140,7 +140,7 @@ class TestAssembleFlows:
         ])
         assert len(flows) == 1
         f = flows[0]
-        assert [(p.rel_time, p.signed_length) for p in f.packets] == \
+        assert list(zip(f.times.tolist(), f.signed.tolist())) == \
             [(0.0, 500), (1.0, -700)]
         assert f.five_tuple.src_addr == "10.0.0.1"
 
@@ -150,7 +150,7 @@ class TestAssembleFlows:
             pkt("10.0.0.1", "10.0.0.2", 1, 2, 100, 120.0),
         ], idle_timeout=60.0)
         assert len(flows) == 2
-        assert all(len(f.packets) == 1 for f in flows)
+        assert all(len(f) == 1 for f in flows)
         assert flows[0].id != flows[1].id
 
     def test_exact_timeout_gap_does_not_split(self):
@@ -180,9 +180,8 @@ class TestAssembleFlows:
                 (length, ts))
         for f in flows:
             key = ref.canonical_key(f.five_tuple)
-            got = [(abs(p.signed_length),
-                    pytest.approx(p.rel_time + expected[key][0][1]))
-                   for p in f.packets]
+            got = [(abs(s), pytest.approx(t + expected[key][0][1]))
+                   for t, s in zip(f.times.tolist(), f.signed.tolist())]
             assert got == [(l, pytest.approx(t)) for l, t in expected[key]]
 
     def test_conservation(self):
@@ -191,14 +190,14 @@ class TestAssembleFlows:
         trace += [pkt("10.0.0.3", "10.0.0.4", 3, 4, 50, 0.1 * i + 200)
                   for i in range(5)]
         flows = assemble(trace)
-        assert sum(len(f.packets) for f in flows) == len(trace)
+        assert sum(len(f) for f in flows) == len(trace)
 
     def test_first_packet_always_forward(self):
         trace = [pkt("10.0.0.2", "10.0.0.1", 9, 8, 77, 0.0),
                  pkt("10.0.0.1", "10.0.0.2", 8, 9, 88, 0.5)]
         flows = assemble(trace)
-        assert flows[0].packets[0].signed_length == 77
-        assert flows[0].packets[1].signed_length == -88
+        assert flows[0].signed[0] == 77
+        assert flows[0].signed[1] == -88
 
     def test_empty_input(self):
         assert assemble([]) == []
@@ -248,7 +247,7 @@ class TestIngestPcap:
         assert stats.decoded == 5
         assert stats.skipped["non-ipv4"] == 1
         assert len(flows) == 1
-        assert len(flows[0].packets) == 5
+        assert len(flows[0]) == 5
 
     @pytest.mark.parametrize("min_packets", [0, -5])
     def test_min_packets_below_one_rejected(self, min_packets):

@@ -1,4 +1,7 @@
+import io
+import json
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -417,7 +420,7 @@ class TestTransferTrunk:
         src.train()
         src.forward(np.random.default_rng(0).standard_normal((8, 2, 45)))
         dst = init_params(build_classifier(45, 3), 2)
-        transfer_trunk(src, dst)
+        transfer_trunk(src, dst, freeze=False)
         x = np.random.default_rng(1).standard_normal((4, 2, 45))
         src.eval(), dst.eval()
 
@@ -466,8 +469,6 @@ class TestTransferTrunk:
 
 def rewrite_checkpoint(path, edit):
     """Apply edit(members) to the {name: npy bytes} of a checkpoint file."""
-    import io
-    import zipfile
     with zipfile.ZipFile(path) as zf:
         members = {n: zf.read(n) for n in zf.namelist()}
     edit(members)
@@ -478,6 +479,19 @@ def rewrite_checkpoint(path, edit):
                 np.save(buf, data)
                 data = buf.getvalue()
             zf.writestr(name, data)
+
+
+def saved_meta_text(path):
+    """The JSON text of a checkpoint file's meta, as stored."""
+    with zipfile.ZipFile(path) as zf:
+        return bytes(np.load(io.BytesIO(zf.read("meta.npy")))).decode()
+
+
+def rewrite_meta_text(path, edit):
+    """Replace the JSON text of a checkpoint's meta with edit(text)."""
+    text = edit(saved_meta_text(path))
+    rewrite_checkpoint(path, lambda m: m.update(
+        {"meta.npy": np.frombuffer(text.encode(), dtype=np.uint8)}))
 
 
 class TestCheckpoint:
@@ -496,26 +510,10 @@ class TestCheckpoint:
         np.testing.assert_array_equal(net.forward(x), loaded.forward(x))
 
     def test_version_rejected(self, tmp_path):
-        import json
-        import zipfile
-        net = init_params(build_regressor(45), 0)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(net, path)
-        # tamper with the embedded version
-        with zipfile.ZipFile(path) as zf:
-            names = {n: zf.read(n) for n in zf.namelist()}
-        meta_npy = names["meta.npy"]
-        header_end = meta_npy.index(b"\n") + 1
-        meta = json.loads(meta_npy[header_end:].decode())
-        meta["checkpoint_version"] = 99
-        body = json.dumps(meta).encode()
-        import io as _io
-        buf = _io.BytesIO()
-        np.save(buf, np.frombuffer(body, dtype=np.uint8))
-        names["meta.npy"] = buf.getvalue()
-        with zipfile.ZipFile(path, "w") as zf:
-            for n, b in names.items():
-                zf.writestr(n, b)
+        save_checkpoint(init_params(build_regressor(45), 0), path)
+        rewrite_meta_text(path, lambda t: json.dumps(
+            {**json.loads(t), "checkpoint_version": 99}))
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
@@ -573,6 +571,43 @@ class TestCheckpoint:
         rewrite_checkpoint(path, lambda m: m.update({"p0_0.npy": bad}))
         with pytest.raises(CheckpointError, match="p0_0"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("window", "1e400"), ("window", "45.0"), ("window", '"45"'),
+        ("window", "true"), ("window", "null"), ("num_outputs", "1e400"),
+        ("num_outputs", "3.0"), ("num_outputs", '"3"'),
+        ("num_outputs", "true")])
+    def test_integer_fields(self, tmp_path, field, value):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(build_classifier(45, 3), 0), path)
+        rewrite_meta_text(path, lambda t: t.replace(
+            f'"{field}": {45 if field == "window" else 3}',
+            f'"{field}": {value}'))
+        with pytest.raises(CheckpointError, match=f"bad metadata.*{field}"):
+            load_checkpoint(path)
+
+    def test_frozen_flags_not_saved(self, tmp_path):
+        src = init_params(build_regressor(45), 1)
+        net = transfer_trunk(src, init_params(build_classifier(45, 3), 2),
+                             freeze=True)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(net, path)
+        assert "frozen" not in json.loads(saved_meta_text(path))
+
+    # earlier versions wrote a per-layer "frozen" list (21 layers)
+    @pytest.mark.parametrize("frozen", [None, [True] * 14 + [False] * 7],
+                             ids=["null", "list"])
+    def test_old_frozen_key_dropped(self, tmp_path, frozen):
+        net = init_params(build_classifier(45, 3), 4)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(net, path)
+        rewrite_meta_text(path, lambda t: json.dumps(
+            {**json.loads(t), "frozen": frozen}))
+        loaded, _ = load_checkpoint(path)
+        assert loaded.meta == net.meta
+        x = np.random.default_rng(2).standard_normal((3, 2, 45))
+        net.eval(), loaded.eval()
+        np.testing.assert_array_equal(net.forward(x), loaded.forward(x))
 
     def test_deterministic_bytes(self, tmp_path):
         import hashlib

@@ -15,7 +15,7 @@ from sampleflow.pipeline import (CoverageError, EmptyDatasetError, KnnClassifier
                                  LabelError, NonFiniteLossError, TrainConfig,
                                  _train_network,
                                  build_classification_dataset,
-                                 build_regression_dataset, classify,
+                                 build_regression_dataset,
                                  confusion_metrics, evaluate,
                                  flow_stat_vectors, knn_baseline, pretrain,
                                  retrain, split_per_class,
@@ -300,12 +300,17 @@ class TestClassifyEvaluate:
         assert report.per_class["1"]["recall"] == 0.0
         assert report.macro_accuracy == pytest.approx(1 / 3)
 
-    def test_classify_majority_tie_lowest_index(self):
-        flow = make_flow("g", n=40, label="0", seed=9)
-        cfg = tiny_config(copies=2)
-        flip = iter([1, 0])
-        model = _StubModel(["0", "1"], lambda: next(flip))
-        assert classify(model, flow, cfg) == "0"
+    def test_flow_vote_tie_lowest_index(self):
+        # one flow, two copies, one vote each: the flow's vote is class "0"
+        for answers in ([1, 0], [0, 1]):
+            for label, right in (("0", 1.0), ("1", 0.0)):
+                flow = make_flow("g", n=40, label=label, seed=9)
+                flip = iter(answers)
+                model = _StubModel(["0", "1"], lambda: next(flip))
+                report = evaluate(model, [flow], ["0", "1"],
+                                  tiny_config(copies=2))
+                assert report.n_sampled == 2
+                assert report.flow_majority_accuracy == right
 
     def test_unknown_label_rejected(self):
         flows, cfg, classes = self.dataset()

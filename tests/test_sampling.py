@@ -221,7 +221,7 @@ class TestAugment:
 
     def test_empty_flow_rejected(self):
         with pytest.raises(InvalidStartError):
-            augment(make_flow(0), Fixed(1), window=5)
+            augment(make_flow(0), Fixed(1), window=5, max_copies=1)
 
 
 def scalar_augment(flow_len, spec, window, max_copies, gen):

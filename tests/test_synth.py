@@ -33,25 +33,25 @@ class TestGenerate:
         assert len(ids) == 20
 
     def test_flow_lengths_in_range(self, flows):
-        assert all(250 <= len(f.packets) <= 400 for f in flows)
+        assert all(250 <= len(f) <= 400 for f in flows)
 
     def test_times_start_at_zero_and_strictly_increase(self, flows):
         for f in flows:
-            times = [p.rel_time for p in f.packets]
+            times = f.times.tolist()
             assert times[0] == 0.0
             assert all(b > a for a, b in zip(times, times[1:]))
 
     def test_first_packet_forward(self, flows):
-        assert all(f.packets[0].signed_length > 0 for f in flows)
+        assert all(f.signed[0] > 0 for f in flows)
 
     def test_lengths_clamped(self, flows):
         for f in flows:
-            for p in f.packets:
-                assert MIN_LENGTH <= abs(p.signed_length) <= MAX_LENGTH
+            for s in f.signed.tolist():
+                assert MIN_LENGTH <= abs(s) <= MAX_LENGTH
 
     def test_both_directions_present(self, flows):
         for f in flows:
-            signs = {p.signed_length > 0 for p in f.packets}
+            signs = {s > 0 for s in f.signed.tolist()}
             assert signs == {True, False}
 
     def test_shared_prefix_carries_no_class_signal(self):
@@ -60,9 +60,8 @@ class TestGenerate:
                         flow_len_range=(PREFIX_LEN + MOTIF_LEN + 10, 300))
         means = {}
         for label in ("c0", "c1"):
-            vals = [abs(p.signed_length)
-                    for f in many if f.label == label
-                    for p in f.packets[:PREFIX_LEN]]
+            vals = [abs(s) for f in many if f.label == label
+                    for s in f.signed[:PREFIX_LEN].tolist()]
             means[label] = np.mean(vals)
         assert abs(means["c0"] - means["c1"]) < 15.0
 
@@ -71,9 +70,8 @@ class TestGenerate:
                         flow_len_range=(500, 700))
         means = {}
         for label in ("c0", "c1"):
-            vals = [abs(p.signed_length)
-                    for f in many if f.label == label
-                    for p in f.packets[PREFIX_LEN:]]
+            vals = [abs(s) for f in many if f.label == label
+                    for s in f.signed[PREFIX_LEN:].tolist()]
             means[label] = np.mean(vals)
         assert abs(means["c0"] - means["c1"]) > 50.0
 
