@@ -12,12 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (__version__, features, flows, ingest, manifest, pipeline,
-               sampling, synth)
+from . import (DataError, __version__, features, flows, ingest, manifest,
+               pipeline, sampling, synth)
 from .manifest import write_manifest
 from .neural import gradcheck as gc
-from .neural import (CheckpointError, ShapeError, load_checkpoint,
-                     save_checkpoint)
+from .neural import CheckpointError, load_checkpoint, save_checkpoint
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -71,13 +70,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _require(path: str) -> Path:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"no such file: {p}")
-    return p
-
-
 def _load_config(args, fallback: dict | None = None) -> pipeline.TrainConfig:
     """The --config file, else fallback (a checkpoint's train_config), with
     --seed and --freeze-trunk applied over it."""
@@ -85,7 +77,7 @@ def _load_config(args, fallback: dict | None = None) -> pipeline.TrainConfig:
     cfg = fallback or {}
     if args.config:
         try:
-            cfg = json.loads(_require(args.config).read_text(encoding="utf-8"))
+            cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise pipeline.ConfigError(
                 f"{source}: not a UTF-8 JSON file ({exc})") from exc
@@ -103,11 +95,11 @@ def _load_config(args, fallback: dict | None = None) -> pipeline.TrainConfig:
 
 def cmd_ingest(args) -> int:
     started = time.time()
-    pcap_path = _require(args.pcap)
+    pcap_path = Path(args.pcap)
     stats = ingest.DecodeStats()
-    with open(pcap_path, "rb") as fh:
-        result = ingest.ingest_pcap(fh, idle_timeout=args.timeout,
-                                    min_packets=args.min_packets, stats=stats)
+    result = ingest.ingest_pcap(pcap_path.read_bytes(),
+                                idle_timeout=args.timeout,
+                                min_packets=args.min_packets, stats=stats)
     flows.write_flows(result, args.out)
     write_manifest(args.out, "ingest",
                    {"timeout": args.timeout, "min_packets": args.min_packets},
@@ -133,7 +125,7 @@ def cmd_synth(args) -> int:
 
 def cmd_stats(args) -> int:
     started = time.time()
-    in_path = _require(args.flows)
+    in_path = Path(args.flows)
     flow_list = flows.read_flows(in_path)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -149,7 +141,7 @@ def cmd_stats(args) -> int:
 
 def cmd_sample(args) -> int:
     started = time.time()
-    in_path = _require(args.flows)
+    in_path = Path(args.flows)
     spec = _parse_sampling(args.method, args.params)
     flow_list = flows.read_flows(in_path)
     samples = [(f, sampling.augment(f, spec, args.window, args.copies,
@@ -167,7 +159,7 @@ def cmd_sample(args) -> int:
 
 def cmd_pretrain(args) -> int:
     started = time.time()
-    in_path = _require(args.flows)
+    in_path = Path(args.flows)
     cfg = _load_config(args)
     flow_list = flows.read_flows(in_path)
     net, history = pipeline.pretrain(flow_list, cfg)
@@ -181,8 +173,8 @@ def cmd_pretrain(args) -> int:
 
 def cmd_retrain(args) -> int:
     started = time.time()
-    model_path = _require(args.model)
-    in_path = _require(args.flows)
+    model_path = Path(args.model)
+    in_path = Path(args.flows)
     pretrained, meta = load_checkpoint(model_path)
     cfg = _load_config(args, fallback=meta.get("train_config"))
     classes = args.classes.split(",")
@@ -202,8 +194,8 @@ def cmd_retrain(args) -> int:
 
 def cmd_evaluate(args) -> int:
     started = time.time()
-    model_path = _require(args.model)
-    in_path = _require(args.flows)
+    model_path = Path(args.model)
+    in_path = Path(args.flows)
     model, meta = load_checkpoint(model_path)
     if meta["kind"] != "classifier" or "train_config" not in meta \
             or meta.get("classes") is None:
@@ -229,12 +221,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_baseline_knn(args) -> int:
-    train_path = _require(args.train)
-    test_path = _require(args.test)
+    train_path = Path(args.train)
+    test_path = Path(args.test)
     train = pipeline.flow_stat_vectors(flows.read_flows(train_path))
     test = pipeline.flow_stat_vectors(flows.read_flows(test_path))
     if not test:
-        raise pipeline.EmptyEvalError("empty test set")
+        raise pipeline.EmptyDatasetError("empty test set")
     clf = pipeline.knn_baseline(train, k=args.k)
     classes = sorted({label for _, label in train + test})
     index = {c: i for i, c in enumerate(classes)}
@@ -341,24 +333,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-DATA_ERRORS = (
-    FileNotFoundError,
-    flows.FlowFormatError,
-    ingest.UnsupportedFormatError,
-    ingest.TruncatedCaptureError,
-    features.EmptyFlowError,
-    features.InconsistentSampleError,
-    sampling.InvalidStartError,
-    synth.SynthConfigError,
-    pipeline.EmptyDatasetError,
-    pipeline.LabelError,
-    pipeline.CoverageError,
-    pipeline.EmptyEvalError,
-    pipeline.NonFiniteLossError,
-    pipeline.ConfigError,
-    CheckpointError,
-    ShapeError,
-)
+DATA_ERRORS = (OSError, DataError)
 
 
 def main(argv: list[str] | None = None) -> int:

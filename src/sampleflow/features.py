@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import DataError
 from .flows import Flow
 
 MAX_LENGTH_BYTES = 1434.0
@@ -21,11 +22,11 @@ NUM_FEATURES = len(FEATURE_NAMES)
 FEATURE_ORDER_VERSION = 1
 
 
-class EmptyFlowError(ValueError):
+class EmptyFlowError(DataError):
     pass
 
 
-class InconsistentSampleError(ValueError):
+class InconsistentSampleError(DataError):
     pass
 
 

@@ -9,12 +9,14 @@ from typing import IO, Iterable, Union
 
 import numpy as np
 
+from . import DataError
+
 SCHEMA_VERSION = 1
 
 _PROTOCOLS = ("tcp", "udp")
 
 
-class FlowFormatError(ValueError):
+class FlowFormatError(DataError):
     """Malformed flow file content."""
 
     def __init__(self, message: str, line: int | None = None):

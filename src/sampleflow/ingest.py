@@ -10,10 +10,11 @@ from __future__ import annotations
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import IO, Iterator, Union
+from typing import Iterator
 
 import numpy as np
 
+from . import DataError
 from .flows import FiveTuple, Flow
 
 PCAP_GLOBAL_HEADER_LEN = 24
@@ -43,11 +44,11 @@ _ETH_IPV4 = np.dtype({
 _REASONS = ("malformed", "non-ipv4", "non-tcp-udp")
 
 
-class UnsupportedFormatError(ValueError):
+class UnsupportedFormatError(DataError):
     """Input is not a classic pcap file."""
 
 
-class TruncatedCaptureError(ValueError):
+class TruncatedCaptureError(DataError):
     """Capture ends mid-header or mid-record."""
 
     def __init__(self, offset: int):
@@ -76,13 +77,12 @@ class DecodedPackets:
     length: np.ndarray     # int64[n]: IPv4 total length (layer-3 bytes)
 
 
-def parse_pcap(byte_stream: Union[bytes, IO[bytes]]) -> Iterator[RecordBlock]:
-    """Yield all records of a classic pcap byte stream as one block.
+def parse_pcap(data: bytes) -> Iterator[RecordBlock]:
+    """Yield all records of a classic pcap capture as one block.
 
-    The whole stream is checked before the block is yielded, so a truncated
+    The whole capture is checked before the block is yielded, so a truncated
     capture raises before any record is returned.
     """
-    data = byte_stream if isinstance(byte_stream, bytes) else byte_stream.read()
     size = len(data)
     if size < PCAP_GLOBAL_HEADER_LEN:
         raise TruncatedCaptureError(size)
@@ -225,14 +225,13 @@ def assemble_flows(packets: DecodedPackets,
     return flows
 
 
-def ingest_pcap(byte_stream: Union[bytes, IO[bytes]],
-                idle_timeout: float = 60.0,
+def ingest_pcap(data: bytes, idle_timeout: float = 60.0,
                 min_packets: int = 100,
                 stats: DecodeStats | None = None) -> list[Flow]:
     """Full ingestion: parse, decode, assemble, filter short flows."""
     from .flows import filter_short_flows
 
-    (block,) = parse_pcap(byte_stream)
+    (block,) = parse_pcap(data)
     flows = assemble_flows(decode_packet(block, stats),
                            idle_timeout=idle_timeout)
     return filter_short_flows(flows, min_packets)

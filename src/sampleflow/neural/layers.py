@@ -9,8 +9,10 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .. import DataError
 
-class ShapeError(ValueError):
+
+class ShapeError(DataError):
     pass
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import DataError
 from .layers import (BatchNorm1d, Conv1d, Dense, Flatten, Layer, MaxPool1d,
                      Param, ReLU, ShapeError)
 
@@ -24,7 +25,7 @@ INPUT_CHANNELS = 2
 REGRESSION_OUTPUTS = 24
 
 
-class CheckpointError(ValueError):
+class CheckpointError(DataError):
     """A checkpoint file that cannot be read or does not fit its network."""
 
 
@@ -242,14 +243,27 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
     if kind not in ("regressor", "classifier"):
         raise CheckpointError(f"{path}: unknown checkpoint kind {kind!r}")
     window, num_outputs = meta.get("window"), meta.get("num_outputs")
-    if not all(type(v) is int for v in (window, num_outputs)):
-        raise CheckpointError(f"{path}: bad metadata: window {window!r} and "
-                              f"num_outputs {num_outputs!r} must be integers")
+    if not all(type(v) is int and v > 0 for v in (window, num_outputs)):
+        raise CheckpointError(f"{path}: bad metadata: window {window!r}, "
+                              f"num_outputs {num_outputs!r}: both must be "
+                              "integers >= 1")
+    # window and num_outputs fix the shapes of the head's first and last
+    # weights; compare those with the file before any layer is allocated
     try:
-        net = build_regressor(window) if kind == "regressor" \
-            else build_classifier(window, num_outputs)
-    except ValueError as exc:
+        width = flatten_width(window)
+    except ShapeError as exc:
         raise CheckpointError(f"{path}: bad metadata ({exc!r})") from exc
+    first = len(_make_trunk())  # layer index of the head's first Dense
+    for name, shape in ((f"p{first}_0", (width, HEAD_SIZES[0])),
+                        (f"p{first + 2 * len(HEAD_SIZES)}_0",
+                         (HEAD_SIZES[-1], num_outputs))):
+        found = arrays[name].shape if name in arrays else "no array"
+        if found != shape:
+            raise CheckpointError(
+                f"{path}: bad metadata: window {window} and num_outputs "
+                f"{num_outputs} need {name!r} of shape {shape}, found {found}")
+    net = build_regressor(window) if kind == "regressor" \
+        else build_classifier(window, num_outputs)
     classes = meta.get("classes")
     if kind == "classifier" and classes is not None and not (
             isinstance(classes, list) and len(classes) == num_outputs

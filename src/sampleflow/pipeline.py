@@ -9,6 +9,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
+from . import DataError
 from .features import (FEATURE_ORDER_VERSION, input_matrix, normalize_targets,
                        stat_features)
 from .flows import Flow
@@ -20,32 +21,28 @@ from .sampling import (SamplingSpec, augment, derive_rng, spec_from_dict,
 logger = logging.getLogger(__name__)
 
 
-class EmptyDatasetError(ValueError):
+class EmptyDatasetError(DataError):
     pass
 
 
-class LabelError(ValueError):
+class LabelError(DataError):
     pass
 
 
-class CoverageError(ValueError):
+class CoverageError(DataError):
     pass
 
 
-class EmptyEvalError(ValueError):
+class NonFiniteLossError(DataError):
     pass
 
 
-class NonFiniteLossError(ValueError):
-    pass
-
-
-class ConfigError(ValueError):
+class ConfigError(DataError):
     """A training config with a missing, unknown or ill-typed field."""
 
 
-_COUNTS = ("window", "copies", "pretrain_epochs", "retrain_epochs",
-           "batch_size")
+_LEAST = {"seed": 0, "window": 1, "copies": 1, "pretrain_epochs": 1,
+          "retrain_epochs": 1, "batch_size": 2}  # batch norm needs 2 copies
 
 
 @dataclass(frozen=True)
@@ -61,13 +58,12 @@ class TrainConfig:
     freeze_trunk: bool = False
 
     def __post_init__(self):
-        for name in ("seed",) + _COUNTS:
+        for name, least in _LEAST.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in _COUNTS:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
         if isinstance(self.lr, bool) or not isinstance(self.lr, Real) \
                 or not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be a finite number > 0, "
@@ -154,6 +150,8 @@ def _train_network(net: Network, x: np.ndarray, y: np.ndarray, loss_fn,
     history = []
     net.train()
     n = x.shape[0]
+    if n < 2:
+        raise EmptyDatasetError(f"at least 2 sampled copies needed, got {n}")
     for epoch in range(epochs):
         order = rng.permutation(n)
         losses = []
@@ -171,7 +169,7 @@ def _train_network(net: Network, x: np.ndarray, y: np.ndarray, loss_fn,
             net.backward(dpred)
             optimizer.step()
             losses.append(loss)
-        mean_loss = float(np.mean(losses)) if losses else float("nan")
+        mean_loss = float(np.mean(losses))
         history.append(mean_loss)
         logger.info("epoch %d/%d loss %.6f", epoch + 1, epochs, mean_loss)
     net.eval()
@@ -285,7 +283,7 @@ def evaluate(model: Network, test_flows: list[Flow], classes: list[str],
              cfg: TrainConfig) -> EvalReport:
     """Copy-level confusion and metrics, plus flow-level majority accuracy."""
     if not test_flows:
-        raise EmptyEvalError("empty test set")
+        raise EmptyDatasetError("empty test set")
     x, y, flow_of = build_classification_dataset(test_flows, classes, cfg)
     preds = _predict_batched(model, x)
     k = len(classes)

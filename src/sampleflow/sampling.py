@@ -12,6 +12,7 @@ from typing import IO, Iterable, Union
 
 import numpy as np
 
+from . import DataError
 from .flows import Flow
 
 # most uniform draws random sampling takes in its first block (copies x
@@ -19,7 +20,7 @@ from .flows import Flow
 _RANDOM_BLOCK = 1 << 16
 
 
-class InvalidStartError(ValueError):
+class InvalidStartError(DataError):
     pass
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DataError
 from .flows import FiveTuple, Flow
 
 PREFIX_LEN = 200
@@ -23,7 +24,7 @@ MAX_LENGTH = 1434
 DEFAULT_FLOW_LEN_RANGE = (600, 1100)
 
 
-class SynthConfigError(ValueError):
+class SynthConfigError(DataError):
     pass
 
 
@@ -139,6 +140,8 @@ def generate(num_classes: int, flows_per_class: int, seed: int,
     """Labeled synthetic flows, byte-reproducible for a given argument set."""
     if flows_per_class < 1:
         raise SynthConfigError("flows_per_class must be >= 1")
+    if seed < 0:
+        raise SynthConfigError(f"seed must be >= 0, got {seed}")
     profiles = make_profiles(num_classes, seed, difficulty, flow_len_range)
     if not min_pairwise_mean_gap(profiles) >= profiles[0].len_std * min(
             1.0, difficulty):

@@ -5,11 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from sampleflow import pipeline
+from sampleflow import (DataError, cli, features, flows, ingest, pipeline,
+                        sampling, synth)
 from sampleflow.cli import main
 from sampleflow.features import FEATURE_NAMES, stat_features
 from sampleflow.flows import read_flows, write_flows
-from sampleflow.neural import load_checkpoint, save_checkpoint
+from sampleflow.neural import (CheckpointError, DegenerateBatchError,
+                               ShapeError, load_checkpoint, save_checkpoint)
 from sampleflow.synth import generate
 from tests import pcaputil as pc
 from tests.test_neural import rewrite_meta_text
@@ -47,6 +49,46 @@ class TestExitCodes:
                            "--out", str(tmp_path / "o.csv"))
         assert code == 2
         assert str(missing) in err
+
+    def test_data_errors_share_one_base(self):
+        assert cli.DATA_ERRORS == (OSError, DataError)
+        for cls in (flows.FlowFormatError, flows.FlowVersionError,
+                    ingest.UnsupportedFormatError,
+                    ingest.TruncatedCaptureError, features.EmptyFlowError,
+                    features.InconsistentSampleError,
+                    sampling.InvalidStartError, synth.SynthConfigError,
+                    pipeline.EmptyDatasetError, pipeline.LabelError,
+                    pipeline.CoverageError, pipeline.NonFiniteLossError,
+                    pipeline.ConfigError, CheckpointError, ShapeError):
+            assert issubclass(cls, DataError), cls
+        assert not issubclass(DegenerateBatchError, DataError)
+
+    @pytest.mark.parametrize("command, directory", [
+        ("stats", "--flows"), ("stats", "--out"), ("synth", "--out"),
+        ("ingest", "--pcap")])
+    def test_directory_path_is_data_error(self, capsys, tmp_path, command,
+                                          directory):
+        corpus = tmp_path / "c.flows"
+        write_flows(generate(2, 1, seed=5), corpus)
+        argv = {"stats": ["--flows", str(corpus)],
+                "synth": ["--classes", "2", "--flows-per-class", "1",
+                          "--seed", "1"],
+                "ingest": ["--pcap", str(tmp_path / "x.pcap")]}[command]
+        argv += ["--out", str(tmp_path / "out")]
+        argv[argv.index(directory) + 1] = str(tmp_path)
+        code, _, err = run(capsys, command, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path) in err
+
+    def test_synth_negative_seed_is_data_error(self, capsys, tmp_path):
+        out = tmp_path / "s.flows"
+        code, _, err = run(capsys, "synth", "--classes", "2",
+                           "--flows-per-class", "1", "--seed", "-1",
+                           "--out", str(out))
+        assert code == 2
+        assert "seed must be >= 0" in err
+        assert not out.exists()
 
     def test_bad_sampling_params(self, capsys, tmp_path):
         f = tmp_path / "x.flows"
@@ -267,6 +309,16 @@ class TestPipelineRoundTrip:
         digest = hashlib.sha256(flows_path.read_bytes()).hexdigest()
         assert payload["manifest"]["inputs"] == {str(flows_path): digest}
 
+    def test_sample_negative_seed(self, capsys, workspace):
+        # the per-flow generator hashes the seed, so any integer works
+        root, flows_path, _ = workspace
+        code, stdout, _ = run(capsys, "sample", "--flows", str(flows_path),
+                              "--out", str(root / "neg.jsonl"), "--method",
+                              "random", "--params", "0.5", "--window", "10",
+                              "--copies", "2", "--seed", "-4")
+        assert code == 0
+        assert "wrote 16 sampled copies" in stdout
+
     def test_sample_fixed_step_beyond_int64(self, capsys, workspace):
         root, flows_path, _ = workspace
         code, stdout, _ = run(capsys, "sample", "--flows", str(flows_path),
@@ -342,11 +394,14 @@ class TestPipelineRoundTrip:
                       "beta": 10}},
         {"sampling": {"method": "incremental", "l0": 2, "alpha": float("nan"),
                       "beta": 10}},
-        {"sampling": {"method": "random", "p": 0}}],
+        {"sampling": {"method": "random", "p": 0}},
+        {"seed": -3},
+        # every batch would be a skipped singleton: nothing trained, exit 0
+        {"batch_size": 1}],
         ids=["unknown-key", "string-count", "sampling-not-object", "nan-lr",
              "window-too-small", "float-step", "bool-step", "string-stage",
              "string-p", "zero-step", "growth-below-one", "nan-growth",
-             "zero-p"])
+             "zero-p", "negative-seed", "batch-size-one"])
     def test_bad_config_is_data_error(self, capsys, workspace, tmp_path,
                                       change):
         _, flows_path, cfg_path = workspace
@@ -426,6 +481,24 @@ class TestPipelineRoundTrip:
                            "--report", str(root / "r.json"))
         assert code == 2
         assert str(missing) in err
+
+    @pytest.mark.parametrize("command", ["retrain", "evaluate"])
+    def test_checkpoint_window_beyond_memory_is_data_error(
+            self, capsys, workspace, tmp_path, command):
+        _, flows_path, _ = workspace
+        model = pretrained_model(workspace) if command == "retrain" \
+            else classifier_model(workspace)
+        huge = tmp_path / "huge.ckpt"
+        rewrite_meta(model, huge, lambda meta: meta.update(window=10 ** 12))
+        out = tmp_path / "out"
+        argv = ["--classes", "c0,c1", "--out"] if command == "retrain" \
+            else ["--report"]
+        code, _, err = run(capsys, command, "--model", str(huge), "--flows",
+                           str(flows_path), *argv, str(out))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "window 1000000000000" in err
+        assert not out.exists()
 
     def test_evaluate_rejects_regressor_checkpoint(self, capsys, workspace):
         root, flows_path, _ = workspace

@@ -586,6 +586,22 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"bad metadata.*{field}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("classifier", "window", 10 ** 12),
+        ("classifier", "num_outputs", 10 ** 12),
+        ("classifier", "window", 54),
+        ("regressor", "num_outputs", 3)])
+    def test_head_shapes_checked_before_build(self, tmp_path, kind, field,
+                                              value):
+        # building from a window of 10**12 would ask for petabytes
+        path = tmp_path / "m.ckpt"
+        net = build_regressor(45) if kind == "regressor" \
+            else build_classifier(45, 3)
+        net.meta[field] = value
+        save_checkpoint(init_params(net, 0), path)
+        with pytest.raises(CheckpointError, match="bad metadata.*need 'p"):
+            load_checkpoint(path)
+
     def test_frozen_flags_not_saved(self, tmp_path):
         src = init_params(build_regressor(45), 1)
         net = transfer_trunk(src, init_params(build_classifier(45, 3), 2),

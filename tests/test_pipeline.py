@@ -11,8 +11,9 @@ from sampleflow.features import (FEATURE_ORDER_VERSION, normalize_targets,
 from sampleflow.flows import FiveTuple, Flow
 from sampleflow.neural import (build_regressor, init_params,
                                load_checkpoint, mse_loss, save_checkpoint)
-from sampleflow.pipeline import (CoverageError, EmptyDatasetError, KnnClassifier,
-                                 LabelError, NonFiniteLossError, TrainConfig,
+from sampleflow.pipeline import (ConfigError, CoverageError,
+                                 EmptyDatasetError, KnnClassifier, LabelError,
+                                 NonFiniteLossError, TrainConfig,
                                  _train_network,
                                  build_classification_dataset,
                                  build_regression_dataset,
@@ -394,6 +395,15 @@ class TestTrainingPipeline:
                            tiny_config(window=12, batch_size=16),
                            shuffle_seed=0)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_copies_rejected(self, n):
+        # batch norm skips a one-copy batch, so nothing would be trained
+        net = init_params(build_regressor(12), 0)
+        with pytest.raises(EmptyDatasetError, match="at least 2"):
+            _train_network(net, np.zeros((n, 2, 12)), np.zeros((n, 24)),
+                           mse_loss, 1, tiny_config(window=12),
+                           shuffle_seed=0)
+
     def test_pretrain_loss_decreases(self, corpus):
         cfg = tiny_config(copies=2, pretrain_epochs=8, window=12)
         _, history = pretrain(corpus, cfg)
@@ -481,3 +491,7 @@ class TestTrainConfig:
             tiny_config(window=0)
         with pytest.raises(ValueError):
             tiny_config(lr=0.0)
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            tiny_config(seed=-3)
+        with pytest.raises(ConfigError, match="batch_size must be >= 2"):
+            tiny_config(batch_size=1)

@@ -112,3 +112,5 @@ class TestProfiles:
             make_profiles(3, seed=0, difficulty=0.0)
         with pytest.raises(SynthConfigError):
             generate(3, 0, seed=0)
+        with pytest.raises(SynthConfigError, match="seed must be >= 0"):
+            generate(3, 1, seed=-1)
