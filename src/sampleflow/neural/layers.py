@@ -1,4 +1,8 @@
-"""Layers with explicit forward/backward passes, double precision throughout.
+"""Layers with explicit forward/backward passes.
+
+Parameters and running stats are float64. A forward computes in its input's
+dtype, casting them to it, so a float32 input runs in float32 and a float64
+input does exactly float64 arithmetic.
 
 A forward with train=True keeps what backward needs in `_cache`; a forward
 with train=False keeps nothing, so backward after it raises RuntimeError.
@@ -79,13 +83,14 @@ class Conv1d(Layer):
             raise ShapeError(f"Conv1d expected [N,{self.in_channels},W], "
                              f"got {x.shape}")
         n, c, w = x.shape
-        x_pad = np.zeros((c, w + 2 * self.pad, n))
+        x_pad = np.zeros((c, w + 2 * self.pad, n), dtype=x.dtype)
         x_pad[:, self.pad:self.pad + w] = x.transpose(1, 2, 0)
         # [C, K, N, W] windows -> [C, K, W, N] -> one (C*K, W*N) copy
         cols = sliding_window_view(x_pad, w, axis=1).transpose(0, 1, 3, 2) \
             .reshape(c * self.kernel, w * n)
-        y = self.weight.value.reshape(self.out_channels, -1) @ cols
-        y += self.bias.value[:, None]
+        weight = self.weight.value.astype(x.dtype, copy=False)
+        y = weight.reshape(self.out_channels, -1) @ cols
+        y += self.bias.value.astype(x.dtype, copy=False)[:, None]
         self._cache = cols if train else None
         return y.reshape(self.out_channels, w, n).transpose(2, 0, 1)
 
@@ -136,13 +141,14 @@ class BatchNorm1d(Layer):
             self.running_var = ((1 - self.momentum) * self.running_var
                                 + self.momentum * var)
         else:
-            xc = x - self.running_mean[:, None]
+            xc = x - self.running_mean.astype(x.dtype, copy=False)[:, None]
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         if not train:
             self._cache = None
-            xc *= (self.gamma.value * inv_std)[:, None]
-            xc += self.beta.value[:, None]
+            scale = self.gamma.value * inv_std
+            xc *= scale.astype(x.dtype, copy=False)[:, None]
+            xc += self.beta.value.astype(x.dtype, copy=False)[:, None]
             return xc
         xc *= inv_std[:, None]  # now x-hat
         self._cache = (xc, inv_std, use_batch_stats)
@@ -240,7 +246,8 @@ class Dense(Layer):
             raise ShapeError(f"Dense expected [N,{self.in_features}], "
                              f"got {x.shape}")
         self._cache = x if train else None
-        return x @ self.weight.value + self.bias.value
+        return (x @ self.weight.value.astype(x.dtype, copy=False)
+                + self.bias.value.astype(x.dtype, copy=False))
 
     def backward(self, dy):
         x = self._cached()

@@ -37,6 +37,10 @@ class NonFiniteLossError(DataError):
     pass
 
 
+class NonFiniteOutputError(DataError):
+    """A network whose evaluation output holds inf or NaN."""
+
+
 class ConfigError(DataError):
     """A training config with a missing, unknown or ill-typed field."""
 
@@ -230,11 +234,23 @@ def train_supervised_baseline(labeled: list[Flow], classes: list[str],
 
 
 def _predict_batched(net: Network, x: np.ndarray) -> np.ndarray:
-    """The arg-max class of each row of x, forwarded 512 rows at a time."""
+    """The arg-max class of each row of x, forwarded 512 rows at a time.
+
+    Inference runs in float32; parameters stay float64 and each layer casts
+    them to its input's dtype. Weights that overflow float32, or whose
+    products do, give inf or NaN outputs, which are refused rather than
+    turned into predictions."""
     net.eval()
     out = []
     for lo in range(0, x.shape[0], 512):
-        out.append(net.forward(x[lo:lo + 512]).argmax(axis=1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = net.forward(x[lo:lo + 512].astype(np.float32))
+        if not np.isfinite(logits).all():
+            raise NonFiniteOutputError(
+                f"network output is not finite for sampled copies "
+                f"{lo}..{lo + len(logits) - 1}: the checkpoint's weights are "
+                "too large to evaluate in float32")
+        out.append(logits.argmax(axis=1))
     return np.concatenate(out)
 
 

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -59,7 +60,8 @@ class TestExitCodes:
                     sampling.InvalidStartError, synth.SynthConfigError,
                     pipeline.EmptyDatasetError, pipeline.LabelError,
                     pipeline.CoverageError, pipeline.NonFiniteLossError,
-                    pipeline.ConfigError, CheckpointError, ShapeError):
+                    pipeline.NonFiniteOutputError, pipeline.ConfigError,
+                    CheckpointError, ShapeError):
             assert issubclass(cls, DataError), cls
         assert not issubclass(DegenerateBatchError, DataError)
 
@@ -499,6 +501,29 @@ class TestPipelineRoundTrip:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "window 1000000000000" in err
         assert not out.exists()
+
+    # 1e39 is finite in float64 but not in float32, where evaluate forwards;
+    # 1e300 overflows the float64 logits too
+    @pytest.mark.parametrize("weight", [1e39, 1e300])
+    def test_evaluate_overflowing_weight_is_data_error(self, capsys,
+                                                       workspace, tmp_path,
+                                                       weight):
+        _, flows_path, _ = workspace
+        net, _ = load_checkpoint(classifier_model(workspace))
+        net.layers[-1].weight.value[0, 0] = weight
+        model = tmp_path / "big.ckpt"
+        save_checkpoint(net, model)
+        report = tmp_path / "r.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "evaluate", "--model", str(model),
+                               "--flows", str(flows_path),
+                               "--report", str(report))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not finite" in err
+        assert [str(w.message) for w in caught] == []
+        assert not report.exists()
 
     def test_evaluate_rejects_regressor_checkpoint(self, capsys, workspace):
         root, flows_path, _ = workspace

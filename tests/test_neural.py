@@ -412,6 +412,39 @@ class TestNetworkConstruction:
         x = np.random.default_rng(2).standard_normal((2, 2, 45))
         np.testing.assert_array_equal(net.forward(x), net.forward(x))
 
+    def test_float32_eval_forward_stays_float32(self):
+        # a silent upcast (say a float64 pad buffer) would pass every other
+        # test and cost the float32 speed-up
+        net = init_params(build_classifier(45, 3), 6)
+        net.train()
+        x = np.random.default_rng(3).standard_normal((16, 2, 45))
+        net.forward(x)  # running stats away from their initial values
+        net.eval()
+        h = x.astype(np.float32)
+        for i, layer in enumerate(net.layers):
+            h = layer.forward(h, False)
+            assert h.dtype == np.float32, (i, type(layer).__name__)
+        np.testing.assert_allclose(h, net.forward(x), rtol=1e-4, atol=1e-5)
+        assert all(p.value.dtype == np.float64 for p in net.params())
+
+    def test_float64_train_pass_stays_float64(self):
+        net = init_params(build_classifier(45, 3), 6)
+        net.train()
+        h = np.random.default_rng(3).standard_normal((16, 2, 45))
+        for i, layer in enumerate(net.layers):
+            h = layer.forward(h, True)
+            assert h.dtype == np.float64, (i, type(layer).__name__)
+        dy = np.ones_like(h)
+        for i, layer in reversed(list(enumerate(net.layers))):
+            dy = layer.backward(dy)
+            assert dy.dtype == np.float64, (i, type(layer).__name__)
+        for p in net.params():
+            assert p.value.dtype == p.grad.dtype == np.float64
+        for layer in net.layers:
+            if isinstance(layer, BatchNorm1d):
+                assert layer.running_mean.dtype == np.float64
+                assert layer.running_var.dtype == np.float64
+
 
 class TestTransferTrunk:
     def test_copy_semantics(self):
@@ -624,6 +657,38 @@ class TestCheckpoint:
         x = np.random.default_rng(2).standard_normal((3, 2, 45))
         net.eval(), loaded.eval()
         np.testing.assert_array_equal(net.forward(x), loaded.forward(x))
+
+    def test_deflated_checkpoint_loads(self, tmp_path):
+        # earlier versions deflated every entry
+        stored, deflated = tmp_path / "s.ckpt", tmp_path / "d.ckpt"
+        save_checkpoint(init_params(build_classifier(45, 3), 1), stored)
+        with zipfile.ZipFile(stored) as src, \
+                zipfile.ZipFile(deflated, "w", zipfile.ZIP_DEFLATED) as dst:
+            for name in src.namelist():
+                dst.writestr(name, src.read(name))
+        a, meta_a = load_checkpoint(stored)
+        b, meta_b = load_checkpoint(deflated)
+        assert meta_a == meta_b
+        for pa, pb in zip(a.params(), b.params()):
+            np.testing.assert_array_equal(pa.value, pb.value)
+        for la, lb in zip(a.layers, b.layers):
+            if isinstance(la, BatchNorm1d):
+                np.testing.assert_array_equal(la.running_mean, lb.running_mean)
+                np.testing.assert_array_equal(la.running_var, lb.running_var)
+
+    def test_flipped_byte_in_stored_array(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(build_regressor(45), 0), path)
+        with zipfile.ZipFile(path) as zf:
+            assert {i.compress_type for i in zf.infolist()} == \
+                {zipfile.ZIP_STORED}
+            member = zf.read("p14_0.npy")
+        data = bytearray(path.read_bytes())
+        at = data.index(member) + len(member) - 8  # inside the array values
+        data[at] ^= 0x01
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="not a checkpoint"):
+            load_checkpoint(path)
 
     def test_deterministic_bytes(self, tmp_path):
         import hashlib

@@ -14,7 +14,7 @@ from sampleflow.neural import (build_regressor, init_params,
 from sampleflow.pipeline import (ConfigError, CoverageError,
                                  EmptyDatasetError, KnnClassifier, LabelError,
                                  NonFiniteLossError, TrainConfig,
-                                 _train_network,
+                                 _predict_batched, _train_network,
                                  build_classification_dataset,
                                  build_regression_dataset,
                                  confusion_metrics, evaluate,
@@ -456,6 +456,22 @@ class TestTrainingPipeline:
             assert loaded.meta == net.meta
             save_checkpoint(loaded, second)
             assert first.read_bytes() == second.read_bytes()
+
+    def test_float32_predictions_match_float64(self, corpus):
+        # evaluate forwards in float32; its per-copy classes, over more than
+        # one 512-row batch, are those of a float64 forward
+        cfg = tiny_config(copies=40, window=12)
+        classes = self.classes(corpus)
+        labeled, test = split_per_class(corpus, 3, seed=2)
+        net, _ = train_supervised_baseline(labeled, classes, cfg)
+        x, y, _ = build_classification_dataset(test, classes, cfg)
+        assert x.shape[0] > 512
+        preds = net.eval().forward(x).argmax(axis=1)
+        np.testing.assert_array_equal(_predict_batched(net, x), preds)
+        confusion = np.zeros((len(classes), len(classes)), dtype=int)
+        np.add.at(confusion, (y, preds), 1)
+        report = evaluate(net, test, classes, cfg)
+        assert report.confusion == confusion.tolist()
 
     def test_missing_class_rejected(self, corpus):
         cfg = tiny_config(copies=2, window=12)
