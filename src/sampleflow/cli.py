@@ -230,10 +230,10 @@ def cmd_baseline_knn(args) -> int:
     clf = pipeline.knn_baseline(train, k=args.k)
     classes = sorted({label for _, label in train + test})
     index = {c: i for i, c in enumerate(classes)}
-    confusion = np.zeros((len(classes), len(classes)), dtype=int)
     preds = clf.predict(np.stack([vec for vec, _ in test]))
-    for (_, label), pred in zip(test, preds):
-        confusion[index[label], index[pred]] += 1
+    confusion = pipeline.confusion_matrix(
+        [index[label] for _, label in test], [index[p] for p in preds],
+        len(classes))
     macro, per_class = pipeline.confusion_metrics(confusion, classes)
     print(json.dumps({"k": args.k, "macro_accuracy": macro,
                       "per_class": per_class,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import zipfile
@@ -72,6 +73,46 @@ class Network:
     def zero_grad(self):
         for p in self.params():
             p.zero_grad()
+
+    def fold_batch_norm(self) -> Network:
+        """An eval-mode copy for inference, with the same outputs from fewer
+        layers.
+
+        In eval mode a BatchNorm1d is y = x*s + (beta - mean*s) per channel,
+        s = gamma/sqrt(var + eps). One that follows a Conv1d folds into that
+        conv's weight and bias; one that feeds a Dense through Flatten folds
+        into that Dense's rows and bias. One that feeds a zero-padded conv
+        stays, since its shift would change the padded border. The fold
+        runs in float64 and makes new arrays for the parameters it changes;
+        every layer is a shallow copy, so nothing of this network is
+        written. Folded weights that overflow are inf or NaN, and so are the
+        outputs they give."""
+        layers = [copy.copy(layer) for layer in self.layers]
+        folded = set()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, bn in enumerate(self.layers):
+                if not isinstance(bn, BatchNorm1d):
+                    continue
+                s = bn.gamma.value * (1.0 / np.sqrt(bn.running_var + bn.eps))
+                shift = bn.beta.value - bn.running_mean * s
+                if i > 0 and isinstance(self.layers[i - 1], Conv1d):
+                    conv = layers[i - 1]
+                    conv.weight = Param(conv.weight.value * s[:, None, None])
+                    conv.bias = Param(conv.bias.value * s + shift)
+                elif [type(x) for x in self.layers[i + 1:i + 3]] \
+                        == [Flatten, Dense]:
+                    dense = layers[i + 2]
+                    width = dense.in_features // bn.channels
+                    w = dense.weight.value
+                    dense.weight = Param(w * np.repeat(s, width)[:, None])
+                    dense.bias = Param(dense.bias.value
+                                       + np.repeat(shift, width) @ w)
+                else:
+                    continue
+                folded.add(i)
+        trunk_len = self.trunk_len - sum(i < self.trunk_len for i in folded)
+        return Network([layer for i, layer in enumerate(layers)
+                        if i not in folded], trunk_len).eval()
 
 
 def _make_trunk() -> list[Layer]:

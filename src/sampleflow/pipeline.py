@@ -236,11 +236,12 @@ def train_supervised_baseline(labeled: list[Flow], classes: list[str],
 def _predict_batched(net: Network, x: np.ndarray) -> np.ndarray:
     """The arg-max class of each row of x, forwarded 512 rows at a time.
 
-    Inference runs in float32; parameters stay float64 and each layer casts
-    them to its input's dtype. Weights that overflow float32, or whose
-    products do, give inf or NaN outputs, which are refused rather than
+    It forwards net.fold_batch_norm(), net's outputs from fewer layers, in
+    float32; parameters stay float64 and each layer casts them to its
+    input's dtype. Weights that overflow float32, or whose products do (in
+    the fold too), give inf or NaN outputs, which are refused rather than
     turned into predictions."""
-    net.eval()
+    net = net.fold_batch_norm()
     out = []
     for lo in range(0, x.shape[0], 512):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -266,6 +267,14 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def confusion_matrix(true: np.ndarray, pred: np.ndarray, k: int
+                     ) -> np.ndarray:
+    """[k, k] counts of (true class, predicted class) index pairs."""
+    confusion = np.zeros((k, k), dtype=int)
+    np.add.at(confusion, (true, pred), 1)
+    return confusion
 
 
 def confusion_metrics(confusion: np.ndarray, classes: list[str]) -> tuple:
@@ -303,8 +312,7 @@ def evaluate(model: Network, test_flows: list[Flow], classes: list[str],
     x, y, flow_of = build_classification_dataset(test_flows, classes, cfg)
     preds = _predict_batched(model, x)
     k = len(classes)
-    confusion = np.zeros((k, k), dtype=int)
-    np.add.at(confusion, (y, preds), 1)
+    confusion = confusion_matrix(y, preds, k)
     macro, per_class = confusion_metrics(confusion, classes)
 
     # flow-level vote: modal copy prediction (ties: lowest class index)

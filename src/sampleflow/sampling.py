@@ -19,9 +19,17 @@ from .flows import Flow
 # flow length is enough for every copy); doubled while a copy needs more
 _RANDOM_BLOCK = 1 << 16
 
+# most indices augment samples from one flow (copies x window): 128 MiB of
+# int64 indices, 256 MiB as the flow's float64 network inputs
+MAX_SAMPLED_INDICES = 1 << 24
+
 
 class InvalidStartError(DataError):
     pass
+
+
+class SampleSizeError(DataError):
+    """copies x window beyond MAX_SAMPLED_INDICES."""
 
 
 @dataclass(frozen=True)
@@ -175,6 +183,10 @@ def augment(flow: Flow, spec: SamplingSpec, window: int, max_copies: int,
         raise ValueError("max_copies must be >= 1")
     if window < 1:
         raise ValueError("window must be >= 1")
+    if max_copies * window > MAX_SAMPLED_INDICES:
+        raise SampleSizeError(
+            f"{max_copies} copies of window {window} is more than "
+            f"{MAX_SAMPLED_INDICES} sampled indices a flow")
     flow_len = len(flow)
     if flow_len == 0:
         raise InvalidStartError(f"flow {flow.id} has no packets")

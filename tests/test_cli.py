@@ -1,11 +1,17 @@
 import csv
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sampleflow
 from sampleflow import (DataError, cli, features, flows, ingest, pipeline,
                         sampling, synth)
 from sampleflow.cli import main
@@ -22,6 +28,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_capped(*argv, address_space=1_500_000_000):
+    """The CLI in a child process with a capped address space, so that an
+    allocation too large for it fails in the child instead of taking the
+    memory of the process that runs the tests."""
+    src = str(Path(sampleflow.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run([sys.executable, "-m", "sampleflow.cli", *argv],
+                          env=env, preexec_fn=cap, capture_output=True,
+                          text=True, timeout=300)
 
 
 class TestExitCodes:
@@ -57,7 +80,8 @@ class TestExitCodes:
                     ingest.UnsupportedFormatError,
                     ingest.TruncatedCaptureError, features.EmptyFlowError,
                     features.InconsistentSampleError,
-                    sampling.InvalidStartError, synth.SynthConfigError,
+                    sampling.InvalidStartError, sampling.SampleSizeError,
+                    synth.SynthConfigError,
                     pipeline.EmptyDatasetError, pipeline.LabelError,
                     pipeline.CoverageError, pipeline.NonFiniteLossError,
                     pipeline.NonFiniteOutputError, pipeline.ConfigError,
@@ -100,6 +124,23 @@ class TestExitCodes:
                            "--method", "incremental", "--params", "8,oops,10",
                            "--seed", "1")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--method", "random", "--params", "0.5",
+         "--copies", "1000000000000"],
+        ["--method", "incremental", "--params", "8,1.2,10",
+         "--window", "1000000000000"],
+    ], ids=["random-copies", "incremental-window"])
+    def test_oversized_sampling_is_data_error(self, tmp_path, argv):
+        corpus, out = tmp_path / "c.flows", tmp_path / "s.jsonl"
+        write_flows(generate(3, 12, seed=5), corpus)
+        result = run_capped("sample", "--flows", str(corpus),
+                            "--out", str(out), *argv, "--seed", "1")
+        assert result.returncode == 2, result.stderr
+        err = result.stderr
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "sampled indices" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1e308", "1e306",
                                        "1e300", "1e10"])
@@ -503,14 +544,21 @@ class TestPipelineRoundTrip:
         assert not out.exists()
 
     # 1e39 is finite in float64 but not in float32, where evaluate forwards;
-    # 1e300 overflows the float64 logits too
-    @pytest.mark.parametrize("weight", [1e39, 1e300])
+    # 1e300 overflows the float64 logits too; an L0 weight of 1e300 times an
+    # L1 gamma of 1e300 overflows the batch-norm fold itself
+    @pytest.mark.parametrize("edits", [
+        pytest.param([(-1, "weight", 1e39)], id="1e+39"),
+        pytest.param([(-1, "weight", 1e300)], id="1e+300"),
+        pytest.param([(0, "weight", 1e300), (1, "gamma", 1e300)],
+                     id="fold-1e+300"),
+    ])
     def test_evaluate_overflowing_weight_is_data_error(self, capsys,
                                                        workspace, tmp_path,
-                                                       weight):
+                                                       edits):
         _, flows_path, _ = workspace
         net, _ = load_checkpoint(classifier_model(workspace))
-        net.layers[-1].weight.value[0, 0] = weight
+        for index, name, value in edits:
+            getattr(net.layers[index], name).value.flat[0] = value
         model = tmp_path / "big.ckpt"
         save_checkpoint(net, model)
         report = tmp_path / "r.json"

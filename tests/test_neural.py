@@ -446,6 +446,63 @@ class TestNetworkConstruction:
                 assert layer.running_var.dtype == np.float64
 
 
+def randomized_stats(net, seed):
+    """Random gamma and beta, and running stats from a few train forwards."""
+    rng = np.random.default_rng(seed)
+    for layer in net.layers:
+        if isinstance(layer, BatchNorm1d):
+            layer.gamma.value[...] = rng.uniform(0.5, 2.0, layer.channels)
+            layer.beta.value[...] = rng.standard_normal(layer.channels)
+    net.train()
+    for _ in range(3):
+        net.forward(rng.standard_normal((16, 2, 45)))
+    return net
+
+
+def network_arrays(net):
+    """Every parameter and running-stat array of net, in layer order."""
+    out = []
+    for layer in net.layers:
+        out += [p.value for p in layer.params()]
+        if isinstance(layer, BatchNorm1d):
+            out += [layer.running_mean, layer.running_var]
+    return out
+
+
+class TestFoldBatchNorm:
+    FOLDED = [Conv1d, ReLU, Conv1d, ReLU, MaxPool1d, BatchNorm1d, Conv1d,
+              ReLU, MaxPool1d, Flatten, Dense, ReLU, Dense, ReLU, Dense,
+              ReLU, Dense]
+
+    @pytest.mark.parametrize("make", [lambda: build_regressor(45),
+                                      lambda: build_classifier(45, 5)],
+                             ids=["regressor", "classifier"])
+    def test_folded_forward_matches_eval_forward(self, make):
+        net = randomized_stats(init_params(make(), 3), 4)
+        folded = net.fold_batch_norm()
+        assert len(net.layers) == 21
+        assert [type(l) for l in folded.layers] == self.FOLDED
+        assert folded.mode == "eval"
+        assert isinstance(folded.layers[folded.trunk_len], Dense)
+        x = np.random.default_rng(5).standard_normal((64, 2, 45))
+        np.testing.assert_allclose(folded.forward(x), net.eval().forward(x),
+                                   rtol=1e-10, atol=1e-12)
+
+    def test_source_network_untouched(self):
+        net = randomized_stats(init_params(build_classifier(45, 3), 6), 7)
+        before = [a.tobytes() for a in network_arrays(net)]
+        folded = net.fold_batch_norm()
+        folded.forward(np.ones((4, 2, 45)))
+        assert [a.tobytes() for a in network_arrays(net)] == before
+        assert net.mode == "train"
+        assert not any(f is s for f in folded.layers for s in net.layers)
+        # the folded parameters are new arrays, not views of the source's
+        for index in (0, 2, 6, 10):
+            assert not any(np.shares_memory(p.value, a)
+                           for p in folded.layers[index].params()
+                           for a in network_arrays(net))
+
+
 class TestTransferTrunk:
     def test_copy_semantics(self):
         src = init_params(build_regressor(45), 1)

@@ -17,12 +17,13 @@ from sampleflow.pipeline import (ConfigError, CoverageError,
                                  _predict_batched, _train_network,
                                  build_classification_dataset,
                                  build_regression_dataset,
-                                 confusion_metrics, evaluate,
-                                 flow_stat_vectors, knn_baseline, pretrain,
-                                 retrain, split_per_class,
+                                 confusion_matrix, confusion_metrics,
+                                 evaluate, flow_stat_vectors, knn_baseline,
+                                 pretrain, retrain, split_per_class,
                                  train_supervised_baseline)
-from sampleflow.sampling import Fixed
+from sampleflow.sampling import Fixed, Random, SampleSizeError
 from sampleflow.synth import generate
+from tests.test_neural import network_arrays
 
 
 def make_flow(fid, n=60, label="a", seed=0):
@@ -62,6 +63,15 @@ class TestConfusionMetrics:
         assert per_class["a"]["precision"] == pytest.approx(5 / 6)
         assert per_class["a"]["f1"] == pytest.approx(5 / 6)
         assert all(info["zero_division"] == [] for info in per_class.values())
+
+    def test_counts_match_loop(self):
+        rng = np.random.default_rng(8)
+        true, pred = rng.integers(0, 4, 200), rng.integers(0, 4, 200)
+        expected = np.zeros((4, 4), dtype=int)
+        for t, p in zip(true.tolist(), pred.tolist()):
+            expected[t, p] += 1
+        np.testing.assert_array_equal(confusion_matrix(true, pred, 4),
+                                      expected)
 
     def test_perfect_predictor(self):
         macro, per_class = confusion_metrics(np.diag([3, 9, 1]),
@@ -253,8 +263,8 @@ class _StubModel:
         self.meta = {"classes": list(classes)}
         self._rule = rule
 
-    def eval(self):
-        pass
+    def fold_batch_norm(self):
+        return self
 
     def forward(self, x):
         logits = np.zeros((x.shape[0], len(self.meta["classes"])))
@@ -472,6 +482,29 @@ class TestTrainingPipeline:
         np.add.at(confusion, (y, preds), 1)
         report = evaluate(net, test, classes, cfg)
         assert report.confusion == confusion.tolist()
+
+    def test_evaluate_leaves_network_unchanged(self, corpus, tmp_path):
+        # evaluate forwards a folded copy; the network it was given, and a
+        # checkpoint of it, stay byte for byte as they were
+        cfg = tiny_config(copies=2, window=12)
+        classes = self.classes(corpus)
+        labeled, test = split_per_class(corpus, 3, seed=2)
+        net, _ = train_supervised_baseline(labeled, classes, cfg)
+        before, after = tmp_path / "before.ckpt", tmp_path / "after.ckpt"
+        save_checkpoint(net, before)
+        arrays = [a.tobytes() for a in network_arrays(net)]
+        evaluate(net, test, classes, cfg)
+        assert [a.tobytes() for a in network_arrays(net)] == arrays
+        save_checkpoint(net, after)
+        assert after.read_bytes() == before.read_bytes()
+
+    def test_oversized_config_sampling_refused(self, corpus):
+        # a training config's copies and window reach augment's size check
+        cfg = tiny_config(sampling=Random(0.5), copies=10 ** 12)
+        with pytest.raises(SampleSizeError):
+            build_regression_dataset(corpus, cfg)
+        with pytest.raises(SampleSizeError):
+            pretrain(corpus, tiny_config(window=10 ** 12))
 
     def test_missing_class_rejected(self, corpus):
         cfg = tiny_config(copies=2, window=12)

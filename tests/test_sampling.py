@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sampleflow.flows import FiveTuple, Flow
-from sampleflow.sampling import (Fixed, Incremental, InvalidStartError, Random,
+from sampleflow.sampling import (MAX_SAMPLED_INDICES, Fixed, Incremental,
+                                 InvalidStartError, Random, SampleSizeError,
                                  augment, derive_rng, sample_indices,
                                  spec_from_dict, spec_to_dict)
 
@@ -191,6 +192,22 @@ class TestAugment:
         copies = augment(make_flow(2000), Fixed(22), window=45, max_copies=1)
         assert len(copies) == 1
         assert copies[0, 0] == 0
+
+    @pytest.mark.parametrize("spec", [Fixed(2), Random(0.5),
+                                      Incremental(8, 1.2, 10)])
+    @pytest.mark.parametrize("window, copies", [
+        (45, MAX_SAMPLED_INDICES // 45 + 1), (MAX_SAMPLED_INDICES + 1, 1),
+        (10 ** 12, 100)])
+    def test_oversized_request_refused(self, spec, window, copies):
+        with pytest.raises(SampleSizeError, match="sampled indices"):
+            augment(make_flow(100), spec, window=window, max_copies=copies,
+                    rng=rng())
+
+    def test_request_at_the_cap_allowed(self):
+        # fixed sampling makes as many copies as the flow has room for
+        copies = augment(make_flow(100), Fixed(2), window=45,
+                         max_copies=MAX_SAMPLED_INDICES // 45)
+        assert copies.shape == (12, 45)
 
     def test_partial_window_when_flow_too_short(self):
         copies = augment(make_flow(100), Fixed(22), window=45, max_copies=100)
