@@ -36,7 +36,6 @@ class Param:
 
 
 class Layer:
-    frozen = False
     _cache = None
 
     def params(self) -> list[Param]:
@@ -128,8 +127,7 @@ class BatchNorm1d(Layer):
         if x.ndim != 3 or x.shape[1] != self.channels:
             raise ShapeError(f"BatchNorm1d expected [N,{self.channels},W], "
                              f"got {x.shape}")
-        use_batch_stats = train and not self.frozen
-        if use_batch_stats:
+        if train:
             if x.size // self.channels < 2:
                 raise DegenerateBatchError(
                     "batch norm needs at least 2 values per channel in train mode")
@@ -151,26 +149,23 @@ class BatchNorm1d(Layer):
             xc += self.beta.value.astype(x.dtype, copy=False)[:, None]
             return xc
         xc *= inv_std[:, None]  # now x-hat
-        self._cache = (xc, inv_std, use_batch_stats)
+        self._cache = (xc, inv_std)
         y = xc * self.gamma.value[:, None]
         y += self.beta.value[:, None]
         return y
 
     def backward(self, dy):
-        xhat, inv_std, batch_stats = self._cached()
+        xhat, inv_std = self._cached()
         dgamma = (dy * xhat).sum(axis=(0, 2))
         dbeta = dy.sum(axis=(0, 2))
         self.gamma.grad += dgamma
         self.beta.grad += dbeta
-        scale = (self.gamma.value * inv_std)[:, None]
-        if not batch_stats:
-            return dy * scale
         # gamma * inv_std * (dy - sum(dy)/m - xhat * sum(dy * xhat)/m)
         m = dy.size // self.channels
         dx = xhat * (-dgamma / m)[:, None]
         dx += dy
         dx -= (dbeta / m)[:, None]
-        dx *= scale
+        dx *= (self.gamma.value * inv_std)[:, None]
         return dx
 
 

@@ -51,11 +51,9 @@ class Network:
     def trunk(self) -> list[Layer]:
         return self.layers[:self.trunk_len]
 
-    def params(self, trainable_only: bool = False) -> list[Param]:
+    def params(self) -> list[Param]:
         out = []
         for layer in self.layers:
-            if trainable_only and layer.frozen:
-                continue
             out.extend(layer.params())
         return out
 
@@ -211,7 +209,7 @@ def init_params(net: Network, seed: int) -> Network:
     return net
 
 
-def transfer_trunk(src: Network, dst: Network, freeze: bool) -> Network:
+def transfer_trunk(src: Network, dst: Network) -> Network:
     """Copy trunk parameters and batch-norm running stats from src into dst.
 
     Every network's trunk comes from _make_trunk, so the two always match."""
@@ -221,14 +219,12 @@ def transfer_trunk(src: Network, dst: Network, freeze: bool) -> Network:
         if isinstance(s_layer, BatchNorm1d):
             d_layer.running_mean[...] = s_layer.running_mean
             d_layer.running_var[...] = s_layer.running_var
-        d_layer.frozen = freeze
     return dst
 
 
 def save_checkpoint(net: Network, path: str | Path) -> None:
     """Write the parameters, batch-norm running stats and the whole of
-    net.meta, so that load_checkpoint restores the same network and meta.
-    Frozen flags are not saved: a retrain sets them from its config."""
+    net.meta, so that load_checkpoint restores the same network and meta."""
     meta = {"checkpoint_version": CHECKPOINT_VERSION, **net.meta}
     arrays: dict[str, np.ndarray] = {}
     for i, layer in enumerate(net.layers):
@@ -319,6 +315,9 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
         if isinstance(layer, BatchNorm1d):
             take(f"rm{i}", layer.running_mean)
             take(f"rv{i}", layer.running_var)
+            if (layer.running_var < 0).any():
+                raise CheckpointError(f"{path}: array 'rv{i}' has a negative "
+                                      "value; a variance is never below 0")
     # "frozen" is a per-layer list that earlier versions wrote; it is dropped
     net.meta.update({k: v for k, v in meta.items()
                      if k not in ("checkpoint_version", "frozen")})

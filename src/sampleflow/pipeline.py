@@ -149,7 +149,7 @@ def build_classification_dataset(flows: list[Flow], classes: list[str],
 def _train_network(net: Network, x: np.ndarray, y: np.ndarray, loss_fn,
                    epochs: int, cfg: TrainConfig, shuffle_seed: int
                    ) -> list[float]:
-    optimizer = Adam(net.params(trainable_only=True), lr=cfg.lr)
+    optimizer = Adam(net.params(), lr=cfg.lr)
     rng = np.random.default_rng(shuffle_seed)
     history = []
     net.train()
@@ -208,10 +208,19 @@ def _train_classifier(labeled: list[Flow], classes: list[str],
         raise CoverageError(f"no labeled flows for classes {missing}")
     x, y, _ = build_classification_dataset(labeled, classes, cfg)
     net = init_params(build_classifier(cfg.window, len(classes)), cfg.seed + 2)
+    trained = net
     if pretrained is not None:
-        transfer_trunk(pretrained, net, freeze=cfg.freeze_trunk)
-    history = _train_network(net, x, y, cross_entropy_loss, cfg.retrain_epochs,
-                             cfg, shuffle_seed=cfg.seed + 3)
+        transfer_trunk(pretrained, net)
+        if cfg.freeze_trunk:
+            # a fixed trunk: forward each copy through it once, train the head
+            trunk = Network(net.trunk, net.trunk_len).eval()
+            x = np.concatenate([trunk.forward(x[lo:lo + 512])
+                                for lo in range(0, len(x), 512)])
+            trained = Network(net.layers[net.trunk_len:], 0)
+    history = _train_network(trained, x, y, cross_entropy_loss,
+                             cfg.retrain_epochs, cfg,
+                             shuffle_seed=cfg.seed + 3)
+    net.eval()
     net.meta.update({"train_config": cfg.to_dict(), "classes": list(classes),
                      "feature_order_version": FEATURE_ORDER_VERSION,
                      "pretrained": pretrained is not None})

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -18,7 +19,8 @@ from sampleflow.cli import main
 from sampleflow.features import FEATURE_NAMES, stat_features
 from sampleflow.flows import read_flows, write_flows
 from sampleflow.neural import (CheckpointError, DegenerateBatchError,
-                               ShapeError, load_checkpoint, save_checkpoint)
+                               ShapeError, build_classifier, init_params,
+                               load_checkpoint, save_checkpoint)
 from sampleflow.synth import generate
 from tests import pcaputil as pc
 from tests.test_neural import rewrite_meta_text
@@ -278,6 +280,13 @@ def evaluate_report(model, flows_path, report):
     payload = json.loads(report.read_text())
     del payload["manifest"]
     return payload
+
+
+def trunk_entries(path):
+    """The p*, rm* and rv* arrays of a checkpoint's trunk, layers 0-13."""
+    with np.load(path) as npz:
+        return {name: npz[name] for name in npz.files if name != "meta"
+                and int(re.match(r"[a-z]+(\d+)", name).group(1)) < 14}
 
 
 def rewrite_meta(src, dst, change):
@@ -572,6 +581,67 @@ class TestPipelineRoundTrip:
         assert "not finite" in err
         assert [str(w.message) for w in caught] == []
         assert not report.exists()
+
+    # a running variance is a mean of squares; -1e-5 is -eps, where
+    # 1/sqrt(var + eps) divides by zero
+    @pytest.mark.parametrize("command,flags,value", [
+        ("evaluate", [], -3.0), ("evaluate", [], -1e-5),
+        ("retrain", [], -3.0), ("retrain", ["--freeze-trunk"], -3.0)],
+        ids=["evaluate--3", "evaluate--1e-5", "retrain", "retrain-frozen"])
+    def test_negative_running_var_is_data_error(self, capsys, workspace,
+                                                tmp_path, command, flags,
+                                                value):
+        _, flows_path, _ = workspace
+        net, _ = load_checkpoint(pretrained_model(workspace)
+                                 if command == "retrain"
+                                 else classifier_model(workspace))
+        net.layers[1].running_var[0] = value
+        model, out = tmp_path / "neg.ckpt", tmp_path / "out"
+        save_checkpoint(net, model)
+        argv = ["--classes", "c0,c1", "--out"] if command == "retrain" \
+            else ["--report"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, command, "--model", str(model),
+                               "--flows", str(flows_path), *flags, *argv,
+                               str(out))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'rv1'" in err
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
+
+    def test_retrain_freeze_trunk(self, capsys, workspace, tmp_path):
+        _, flows_path, _ = workspace
+        pre = pretrained_model(workspace)
+        clf = tmp_path / "frozen.ckpt"
+        code, _, _ = run(capsys, "--quiet", "retrain", "--model", str(pre),
+                         "--flows", str(flows_path), "--classes", "c0,c1",
+                         "--freeze-trunk", "--out", str(clf))
+        assert code == 0
+        want, got = trunk_entries(pre), trunk_entries(clf)
+        assert len(want) == 26  # 3 convs x 2 params, 5 batch norms x 4
+        assert {k: v.tobytes() for k, v in got.items()} \
+            == {k: v.tobytes() for k, v in want.items()}
+        assert load_checkpoint(clf)[1]["train_config"]["freeze_trunk"] is True
+        evaluate_report(clf, flows_path, tmp_path / "r.json")
+
+    def test_freeze_trunk_without_transfer_trains_trunk(self, capsys,
+                                                        workspace, tmp_path):
+        # freezing applies only to a transferred trunk
+        _, flows_path, cfg_path = workspace
+        clf, init = tmp_path / "clf.ckpt", tmp_path / "init.ckpt"
+        code, _, _ = run(capsys, "--quiet", "retrain",
+                         "--model", str(pretrained_model(workspace)),
+                         "--flows", str(flows_path), "--classes", "c0,c1",
+                         "--no-transfer", "--freeze-trunk", "--out", str(clf))
+        assert code == 0
+        # retrain draws the classifier's initial weights from seed + 2
+        seed = json.loads(cfg_path.read_text())["seed"]
+        save_checkpoint(init_params(build_classifier(10, 2), seed + 2), init)
+        before, after = trunk_entries(init), trunk_entries(clf)
+        assert before.keys() == after.keys()
+        assert all(not np.array_equal(before[k], after[k]) for k in before)
 
     def test_evaluate_rejects_regressor_checkpoint(self, capsys, workspace):
         root, flows_path, _ = workspace

@@ -15,6 +15,9 @@ from sampleflow.neural import (Adam, BatchNorm1d, CheckpointError, Conv1d,
                                softmax, transfer_trunk)
 from sampleflow.neural.gradcheck import run_all
 from sampleflow.neural.network import flatten_width
+from sampleflow.pipeline import TrainConfig, retrain
+from sampleflow.sampling import Fixed
+from sampleflow.synth import generate
 
 
 def assert_rel_close(actual, expected, rtol=1e-10):
@@ -141,14 +144,11 @@ class TestBatchNorm:
         layer.forward(x, False)
         np.testing.assert_array_equal(layer.running_mean, after_train)
 
-    @pytest.mark.parametrize("shape", [(6, 3, 7)], ids=["3d"])
-    @pytest.mark.parametrize("frozen", [False, True],
-                             ids=["batch-stats", "frozen"])
-    def test_backward_matches_textbook(self, shape, frozen):
-        rng = np.random.default_rng(len(shape) + frozen)
+    @pytest.mark.parametrize("shape", [(6, 3, 7)], ids=["batch-stats-3d"])
+    def test_backward_matches_textbook(self, shape):
+        rng = np.random.default_rng(len(shape))
         c = shape[1]
         layer = BatchNorm1d(c)
-        layer.frozen = frozen
         layer.gamma.value[...] = rng.uniform(0.5, 1.5, c)
         layer.beta.value[...] = rng.standard_normal(c)
         layer.running_mean[...] = rng.standard_normal(c)
@@ -158,28 +158,21 @@ class TestBatchNorm:
         vec = (1, c, 1)
         axes = (0, 2)
         m = x.size // c
-        if frozen:
-            mu = layer.running_mean.reshape(vec)
-            var = layer.running_var.reshape(vec)
-        else:
-            mu = x.mean(axis=axes, keepdims=True)
-            var = x.var(axis=axes, keepdims=True)
+        mu = x.mean(axis=axes, keepdims=True)
+        var = x.var(axis=axes, keepdims=True)
         layer.forward(x, True)
         dx = layer.backward(dy)
         gamma = layer.gamma.value.reshape(vec)
         xhat = (x - mu) / np.sqrt(var + layer.eps)
         dxhat = dy * gamma
-        if frozen:
-            dx_ref = dxhat / np.sqrt(var + layer.eps)
-        else:
-            # Ioffe & Szegedy (2015): through x-hat, the variance and the mean
-            dvar = np.sum(dxhat * (x - mu) * -0.5 * (var + layer.eps) ** -1.5,
-                          axis=axes, keepdims=True)
-            dmu = np.sum(-dxhat / np.sqrt(var + layer.eps), axis=axes,
-                         keepdims=True) \
-                + dvar * np.sum(-2.0 * (x - mu), axis=axes, keepdims=True) / m
-            dx_ref = dxhat / np.sqrt(var + layer.eps) \
-                + dvar * 2.0 * (x - mu) / m + dmu / m
+        # Ioffe & Szegedy (2015): through x-hat, the variance and the mean
+        dvar = np.sum(dxhat * (x - mu) * -0.5 * (var + layer.eps) ** -1.5,
+                      axis=axes, keepdims=True)
+        dmu = np.sum(-dxhat / np.sqrt(var + layer.eps), axis=axes,
+                     keepdims=True) \
+            + dvar * np.sum(-2.0 * (x - mu), axis=axes, keepdims=True) / m
+        dx_ref = dxhat / np.sqrt(var + layer.eps) \
+            + dvar * 2.0 * (x - mu) / m + dmu / m
         assert_rel_close(dx, dx_ref, rtol=1e-9)
         assert_rel_close(layer.gamma.grad, np.sum(dy * xhat, axis=axes))
         assert_rel_close(layer.beta.grad, np.sum(dy, axis=axes))
@@ -503,6 +496,25 @@ class TestFoldBatchNorm:
                            for a in network_arrays(net))
 
 
+def trunk_bytes(net):
+    """The bytes of every trunk parameter and running-stat array of net."""
+    return [a.tobytes()
+            for a in network_arrays(Network(net.trunk, net.trunk_len))]
+
+
+def frozen_retrain():
+    """The trunk bytes of a regressor with nontrivial running stats, and the
+    classifier a frozen-trunk retrain makes from it."""
+    src = init_params(build_regressor(45), 1)
+    src.train()
+    src.forward(np.random.default_rng(0).standard_normal((8, 2, 45)))
+    before = trunk_bytes(src)
+    cfg = TrainConfig(sampling=Fixed(1), seed=3, window=45, copies=2,
+                      retrain_epochs=3, batch_size=4, freeze_trunk=True)
+    clf, _ = retrain(src, generate(3, 4, seed=5), ["c0", "c1", "c2"], cfg)
+    return before, clf
+
+
 class TestTransferTrunk:
     def test_copy_semantics(self):
         src = init_params(build_regressor(45), 1)
@@ -510,7 +522,7 @@ class TestTransferTrunk:
         src.train()
         src.forward(np.random.default_rng(0).standard_normal((8, 2, 45)))
         dst = init_params(build_classifier(45, 3), 2)
-        transfer_trunk(src, dst, freeze=False)
+        transfer_trunk(src, dst)
         x = np.random.default_rng(1).standard_normal((4, 2, 45))
         src.eval(), dst.eval()
 
@@ -523,29 +535,16 @@ class TestTransferTrunk:
         np.testing.assert_array_equal(trunk_out(src), trunk_out(dst))
 
     def test_freeze_keeps_trunk_bit_identical(self):
-        src = init_params(build_regressor(45), 1)
-        dst = init_params(build_classifier(45, 3), 2)
-        transfer_trunk(src, dst, freeze=True)
-        snapshot = [p.value.copy() for l in dst.trunk for p in l.params()]
-        opt = Adam(dst.params(trainable_only=True), lr=1e-2)
-        rng = np.random.default_rng(3)
-        dst.train()
-        for _ in range(10):
-            opt.zero_grad()
-            logits = dst.forward(rng.standard_normal((4, 2, 45)))
-            _, d = cross_entropy_loss(logits, rng.integers(0, 3, 4))
-            dst.backward(d)
-            opt.step()
-        after = [p.value for l in dst.trunk for p in l.params()]
-        for a, b in zip(snapshot, after):
-            np.testing.assert_array_equal(a, b)
+        before, clf = frozen_retrain()
+        assert trunk_bytes(clf) == before
+        assert clf.mode == "eval"
 
     def test_unfrozen_trunk_trains(self):
         src = init_params(build_regressor(45), 1)
         dst = init_params(build_classifier(45, 3), 2)
-        transfer_trunk(src, dst, freeze=False)
+        transfer_trunk(src, dst)
         snapshot = [p.value.copy() for l in dst.trunk for p in l.params()]
-        opt = Adam(dst.params(trainable_only=True), lr=1e-2)
+        opt = Adam(dst.params(), lr=1e-2)
         dst.train()
         rng = np.random.default_rng(3)
         opt.zero_grad()
@@ -693,9 +692,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_frozen_flags_not_saved(self, tmp_path):
-        src = init_params(build_regressor(45), 1)
-        net = transfer_trunk(src, init_params(build_classifier(45, 3), 2),
-                             freeze=True)
+        _, net = frozen_retrain()
         path = tmp_path / "m.ckpt"
         save_checkpoint(net, path)
         assert "frozen" not in json.loads(saved_meta_text(path))

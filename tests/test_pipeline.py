@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sampleflow import pipeline
 from sampleflow.features import (FEATURE_ORDER_VERSION, normalize_targets,
                                  stat_features)
 from sampleflow.flows import FiveTuple, Flow
 from sampleflow.neural import (build_regressor, init_params,
-                               load_checkpoint, mse_loss, save_checkpoint)
+                               load_checkpoint, mse_loss, save_checkpoint,
+                               transfer_trunk)
 from sampleflow.pipeline import (ConfigError, CoverageError,
                                  EmptyDatasetError, KnnClassifier, LabelError,
                                  NonFiniteLossError, TrainConfig,
@@ -23,7 +25,7 @@ from sampleflow.pipeline import (ConfigError, CoverageError,
                                  train_supervised_baseline)
 from sampleflow.sampling import Fixed, Random, SampleSizeError
 from sampleflow.synth import generate
-from tests.test_neural import network_arrays
+from tests.test_neural import network_arrays, trunk_bytes
 
 
 def make_flow(fid, n=60, label="a", seed=0):
@@ -425,10 +427,50 @@ class TestTrainingPipeline:
                           retrain_epochs=2)
         pre, _ = pretrain(corpus, cfg)
         labeled, _ = split_per_class(corpus, 3, seed=1)
+        before = trunk_bytes(pre)
         clf, _ = retrain(pre, labeled, self.classes(corpus), cfg)
-        for lp, lc in zip(pre.trunk, clf.trunk):
-            for pp, pc in zip(lp.params(), lc.params()):
-                np.testing.assert_array_equal(pp.value, pc.value)
+        # params, running means and running variances alike
+        assert trunk_bytes(clf) == before
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_frozen_retrain_forwards_trunk_once(self, corpus, monkeypatch,
+                                                epochs):
+        cfg = tiny_config(copies=2, window=12, freeze_trunk=True,
+                          retrain_epochs=epochs)
+        pre, _ = pretrain(corpus, cfg)
+        labeled, _ = split_per_class(corpus, 3, seed=1)
+        classes = self.classes(corpus)
+        copies = len(build_classification_dataset(labeled, classes, cfg)[0])
+        first_conv, rows, backward = [], [], []
+
+        def spy_transfer(src, dst):
+            first_conv.append(dst.layers[0])
+            return transfer_trunk(src, dst)
+
+        def spy(cls):
+            forward, back = cls.forward, cls.backward
+
+            def spy_forward(layer, x, train):
+                if first_conv and layer is first_conv[0]:
+                    rows.append(len(x))
+                return forward(layer, x, train)
+
+            def spy_backward(layer, dy):
+                backward.append(layer)
+                return back(layer, dy)
+
+            monkeypatch.setattr(cls, "forward", spy_forward)
+            monkeypatch.setattr(cls, "backward", spy_backward)
+
+        monkeypatch.setattr(pipeline, "transfer_trunk", spy_transfer)
+        for cls in {type(layer) for layer in pre.layers}:
+            spy(cls)
+        clf, _ = retrain(pre, labeled, classes, cfg)
+        assert first_conv == [clf.layers[0]]
+        assert sum(rows) == copies
+        assert backward  # the head trained
+        assert not {id(layer) for layer in backward} \
+            & {id(layer) for layer in clf.trunk}
 
     def test_retrain_unfrozen_trunk_moves(self, corpus):
         cfg = tiny_config(copies=2, window=12, freeze_trunk=False,
