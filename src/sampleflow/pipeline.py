@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -44,6 +44,10 @@ class NonFiniteOutputError(DataError):
 class ConfigError(DataError):
     """A training config with a missing, unknown or ill-typed field."""
 
+
+# rows an inference forward takes at a time: small enough that conv L3's
+# im2col matrix stays near one core's L2 cache
+INFER_BATCH = 128
 
 _LEAST = {"seed": 0, "window": 1, "copies": 1, "pretrain_epochs": 1,
           "retrain_epochs": 1, "batch_size": 2}  # batch norm needs 2 copies
@@ -214,13 +218,16 @@ def _train_classifier(labeled: list[Flow], classes: list[str],
         if cfg.freeze_trunk:
             # a fixed trunk: forward each copy through it once, train the head
             trunk = Network(net.trunk, net.trunk_len).eval()
-            x = np.concatenate([trunk.forward(x[lo:lo + 512])
-                                for lo in range(0, len(x), 512)])
+            x = np.concatenate([trunk.forward(x[lo:lo + INFER_BATCH])
+                                for lo in range(0, len(x), INFER_BATCH)])
             trained = Network(net.layers[net.trunk_len:], 0)
     history = _train_network(trained, x, y, cross_entropy_loss,
                              cfg.retrain_epochs, cfg,
                              shuffle_seed=cfg.seed + 3)
     net.eval()
+    # freezing applies only to a transferred trunk: record what was trained
+    if pretrained is None:
+        cfg = replace(cfg, freeze_trunk=False)
     net.meta.update({"train_config": cfg.to_dict(), "classes": list(classes),
                      "feature_order_version": FEATURE_ORDER_VERSION,
                      "pretrained": pretrained is not None})
@@ -243,7 +250,8 @@ def train_supervised_baseline(labeled: list[Flow], classes: list[str],
 
 
 def _predict_batched(net: Network, x: np.ndarray) -> np.ndarray:
-    """The arg-max class of each row of x, forwarded 512 rows at a time.
+    """The arg-max class of each row of x, forwarded INFER_BATCH rows at a
+    time.
 
     It forwards net.fold_batch_norm(), net's outputs from fewer layers, in
     float32; parameters stay float64 and each layer casts them to its
@@ -252,9 +260,9 @@ def _predict_batched(net: Network, x: np.ndarray) -> np.ndarray:
     turned into predictions."""
     net = net.fold_batch_norm()
     out = []
-    for lo in range(0, x.shape[0], 512):
+    for lo in range(0, x.shape[0], INFER_BATCH):
         with np.errstate(over="ignore", invalid="ignore"):
-            logits = net.forward(x[lo:lo + 512].astype(np.float32))
+            logits = net.forward(x[lo:lo + INFER_BATCH].astype(np.float32))
         if not np.isfinite(logits).all():
             raise NonFiniteOutputError(
                 f"network output is not finite for sampled copies "

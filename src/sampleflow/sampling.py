@@ -15,8 +15,8 @@ import numpy as np
 from . import DataError
 from .flows import Flow
 
-# most uniform draws random sampling takes in its first block (copies x
-# flow length is enough for every copy); doubled while a copy needs more
+# most uniform draws random sampling takes in its first block; doubled
+# while a copy needs more
 _RANDOM_BLOCK = 1 << 16
 
 # most indices augment samples from one flow (copies x window): 128 MiB of
@@ -147,21 +147,58 @@ def _random_rows(spec: Random, start: int, flow_len: int, window: int,
                  copies: int, rng: np.random.Generator) -> np.ndarray:
     """Random indices from start, copies times in a row, from one block of
     draws: one uniform draw per scanned index, start..flow_len-1. The
-    generator ends where drawing them one at a time would leave it."""
+    generator ends where drawing them one at a time would leave it.
+
+    The hit positions (draws below p) are found once. A copy starting at
+    draw `used` whose window-th hit lies within n draws takes the next
+    `window` hits and ends at the last, so a run of such copies is cut out
+    of the hit array with one reshape. A copy with fewer hits in its n
+    draws takes those and ends n draws on. A run looks one copy ahead
+    after such a copy, and twice as far after each run, so it looks little
+    further than it cuts.
+    """
     n = flow_len - start
+    p = spec.probability
     state = rng.bit_generator.state
-    draws = rng.random(min(copies * n, _RANDOM_BLOCK))
+    # a copy scans n draws or to its window-th hit, window / p draws on
+    # average: draw what the copies are expected to scan, four standard
+    # deviations more, and at most what they can scan
+    expect = copies * min(n, window / p)
+    drawn = int(min(copies * n, _RANDOM_BLOCK,
+                    expect + 4 * math.sqrt(expect / p)))
+    hits = np.flatnonzero(rng.random(drawn) < p)
     rows = np.full((copies, window), -1, dtype=np.int64)
-    used = 0
-    for c in range(copies):
-        while True:
-            scan = draws[used:used + n]
-            hits = np.flatnonzero(scan < spec.probability)[:window]
-            if len(hits) == window or len(scan) == n:
-                break
-            draws = np.concatenate([draws, rng.random(len(draws))])
-        rows[c, :len(hits)] = hits
-        used += int(hits[-1]) + 1 if len(hits) == window else n
+    used = k = c = 0  # next copy's first draw, its first hit, its row
+    ahead = copies
+    while c < copies:
+        last = k + window - 1
+        if last < len(hits) and hits[last] - used < n:
+            # each copy ends at its window-th hit, the next starts after it
+            m = 1
+            if ahead > 1:
+                ends = hits[last::window][:min(copies - c, ahead)]
+                full = ends[1:] - ends[:-1] <= n
+                m += len(full) if full.all() else int(full.argmin())
+                rows[c + 1:c + m] = (
+                    hits[k + window:k + m * window].reshape(m - 1, window)
+                    - ends[:m - 1, None] - 1)
+            rows[c] = hits[k:last + 1] - used
+            used = int(hits[k + m * window - 1]) + 1
+            k += m * window
+            c += m
+            ahead *= 2
+        elif used + n <= drawn:  # fewer than window hits in n draws
+            row = hits[k:k + window]
+            row = row[row < used + n]
+            rows[c, :len(row)] = row - used
+            used += n
+            k += len(row)
+            c += 1
+            ahead = 1
+        else:
+            more = rng.random(drawn)
+            hits = np.concatenate([hits, np.flatnonzero(more < p) + drawn])
+            drawn *= 2
     rng.bit_generator.state = state
     rng.bit_generator.advance(used)
     np.add(rows, start, out=rows, where=rows >= 0)

@@ -642,6 +642,9 @@ class TestPipelineRoundTrip:
         before, after = trunk_entries(init), trunk_entries(clf)
         assert before.keys() == after.keys()
         assert all(not np.array_equal(before[k], after[k]) for k in before)
+        # and the checkpoint does not claim a frozen trunk
+        assert load_checkpoint(clf)[1]["train_config"]["freeze_trunk"] \
+            is False
 
     def test_evaluate_rejects_regressor_checkpoint(self, capsys, workspace):
         root, flows_path, _ = workspace

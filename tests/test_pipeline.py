@@ -10,10 +10,10 @@ from sampleflow import pipeline
 from sampleflow.features import (FEATURE_ORDER_VERSION, normalize_targets,
                                  stat_features)
 from sampleflow.flows import FiveTuple, Flow
-from sampleflow.neural import (build_regressor, init_params,
+from sampleflow.neural import (Network, build_regressor, init_params,
                                load_checkpoint, mse_loss, save_checkpoint,
                                transfer_trunk)
-from sampleflow.pipeline import (ConfigError, CoverageError,
+from sampleflow.pipeline import (INFER_BATCH, ConfigError, CoverageError,
                                  EmptyDatasetError, KnnClassifier, LabelError,
                                  NonFiniteLossError, TrainConfig,
                                  _predict_batched, _train_network,
@@ -472,6 +472,30 @@ class TestTrainingPipeline:
         assert not {id(layer) for layer in backward} \
             & {id(layer) for layer in clf.trunk}
 
+    def test_frozen_trunk_features_match_one_shot_forward(self, corpus,
+                                                          monkeypatch):
+        # the trunk features, forwarded INFER_BATCH copies at a time, are
+        # bit for bit those of one forward over every copy
+        cfg = tiny_config(copies=20, window=12, freeze_trunk=True,
+                          retrain_epochs=1)
+        pre, _ = pretrain(corpus, cfg)
+        labeled, _ = split_per_class(corpus, 3, seed=1)
+        classes = self.classes(corpus)
+        x, _, _ = build_classification_dataset(labeled, classes, cfg)
+        assert x.shape[0] > INFER_BATCH
+        features = []
+        train_network = pipeline._train_network
+
+        def spy(net, x, *args, **kw):
+            features.append(x)
+            return train_network(net, x, *args, **kw)
+
+        monkeypatch.setattr(pipeline, "_train_network", spy)
+        clf, _ = retrain(pre, labeled, classes, cfg)
+        trunk = Network(clf.trunk, clf.trunk_len).eval()
+        assert len(features) == 1
+        assert features[0].tobytes() == trunk.forward(x).tobytes()
+
     def test_retrain_unfrozen_trunk_moves(self, corpus):
         cfg = tiny_config(copies=2, window=12, freeze_trunk=False,
                           retrain_epochs=2)
@@ -511,19 +535,45 @@ class TestTrainingPipeline:
 
     def test_float32_predictions_match_float64(self, corpus):
         # evaluate forwards in float32; its per-copy classes, over more than
-        # one 512-row batch, are those of a float64 forward
+        # one batch and more than 512 rows, are those of a float64 forward
         cfg = tiny_config(copies=40, window=12)
         classes = self.classes(corpus)
         labeled, test = split_per_class(corpus, 3, seed=2)
         net, _ = train_supervised_baseline(labeled, classes, cfg)
         x, y, _ = build_classification_dataset(test, classes, cfg)
-        assert x.shape[0] > 512
+        assert x.shape[0] > max(INFER_BATCH, 512)
         preds = net.eval().forward(x).argmax(axis=1)
         np.testing.assert_array_equal(_predict_batched(net, x), preds)
         confusion = np.zeros((len(classes), len(classes)), dtype=int)
         np.add.at(confusion, (y, preds), 1)
         report = evaluate(net, test, classes, cfg)
         assert report.confusion == confusion.tolist()
+
+    @pytest.mark.parametrize("rows", [1, INFER_BATCH - 1, INFER_BATCH,
+                                      INFER_BATCH + 1, 3 * INFER_BATCH + 7])
+    def test_predict_batched_matches_one_shot(self, corpus, monkeypatch,
+                                              rows):
+        # INFER_BATCH rows a forward, the last batch shorter; the classes
+        # are those of one float32 forward over every row
+        cfg = tiny_config(copies=40, window=12)
+        classes = self.classes(corpus)
+        labeled, test = split_per_class(corpus, 3, seed=2)
+        net, _ = train_supervised_baseline(labeled, classes, cfg)
+        x = build_classification_dataset(test, classes, cfg)[0][:rows]
+        assert len(x) == rows
+        want = net.fold_batch_norm().forward(x.astype(np.float32))
+        batches = []
+        forward = Network.forward
+
+        def spy(self, x):
+            batches.append(len(x))
+            return forward(self, x)
+
+        monkeypatch.setattr(Network, "forward", spy)
+        np.testing.assert_array_equal(_predict_batched(net, x),
+                                      want.argmax(axis=1))
+        full, rest = divmod(rows, INFER_BATCH)
+        assert batches == [INFER_BATCH] * full + [rest] * (rest > 0)
 
     def test_evaluate_leaves_network_unchanged(self, corpus, tmp_path):
         # evaluate forwards a folded copy; the network it was given, and a

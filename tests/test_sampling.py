@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sampleflow.flows import FiveTuple, Flow
-from sampleflow.sampling import (MAX_SAMPLED_INDICES, Fixed, Incremental,
-                                 InvalidStartError, Random, SampleSizeError,
-                                 augment, derive_rng, sample_indices,
-                                 spec_from_dict, spec_to_dict)
+from sampleflow.sampling import (_RANDOM_BLOCK, MAX_SAMPLED_INDICES, Fixed,
+                                 Incremental, InvalidStartError, Random,
+                                 SampleSizeError, _random_rows, augment,
+                                 derive_rng, sample_indices, spec_from_dict,
+                                 spec_to_dict)
 
 
 def rng(seed=0):
@@ -321,6 +322,82 @@ class TestAugmentMatchesSampleIndices:
         want = scalar_augment(5000, Random(0.002), 45, 30, gen_scalar)
         assert [valid(row) for row in got] == want
         assert gen_batch.bit_generator.state == gen_scalar.bit_generator.state
+
+
+def check_random_rows(p, start, flow_len, window, copies, seed):
+    """_random_rows against the per-copy oracle: rows, dtype and the
+    generator's end state. Returns the oracle's rows."""
+    got_gen, want_gen = rng(seed), rng(seed)
+    got = _random_rows(Random(p), start, flow_len, window, copies, got_gen)
+    want = [simulate(Random(p), start, flow_len, window, gen=want_gen)
+            for _ in range(copies)]
+    assert got.dtype == np.int64 and got.shape == (copies, window)
+    assert [valid(row) for row in got] == want
+    assert np.all(got[got < start] == -1)
+    assert got_gen.bit_generator.state == want_gen.bit_generator.state
+    return want
+
+
+def draws_used(rows, start, flow_len, window):
+    """Draws the oracle's copies scan: to the last hit of a full copy, to
+    the flow's end otherwise."""
+    return sum(row[-1] + 1 - start if len(row) == window
+               else flow_len - start for row in rows)
+
+
+class TestRandomRows:
+    def test_p1_takes_the_prefix_each_copy(self):
+        want = check_random_rows(1.0, 0, 100, 45, 7, seed=1)
+        assert want == [list(range(45))] * 7
+
+    @pytest.mark.parametrize("p", [0.3, 1.0])
+    def test_flow_shorter_than_window(self, p):
+        want = check_random_rows(p, 0, 20, 45, 50, seed=3)
+        assert all(len(row) < 45 for row in want)
+
+    @pytest.mark.parametrize("start", [1, 37, 199])
+    def test_start_past_zero(self, start):
+        want = check_random_rows(0.2, start, 200, 10, 40, seed=start)
+        assert all(row[0] >= start for row in want if row)
+
+    def test_draws_grow_under_full_copies(self):
+        # the block doubles twice, each time within a run of full copies
+        start, flow_len, window, copies = 0, 2000, 45, 200
+        want = check_random_rows(0.05, start, flow_len, window, copies,
+                                 seed=4)
+        assert all(len(row) == window for row in want)
+        assert draws_used(want, start, flow_len, window) > 2 * _RANDOM_BLOCK
+
+    def test_draws_grow_past_the_expected_scan(self):
+        # one one-hit copy at p = 0.5 first draws 10 uniforms (2 expected,
+        # four standard deviations more); about one seed in 1024 scans
+        # past them
+        grown = 0
+        for seed in range(4000):
+            want = check_random_rows(0.5, 0, 100, 1, 1, seed)
+            grown += draws_used(want, 0, 100, 1) > 10
+        assert grown
+
+    def test_partial_copy_between_full_ones(self):
+        window = 10
+        want = check_random_rows(0.1, 5, 105, window, 200, seed=5)
+        assert any(len(want[i]) < window
+                   and len(want[i - 1]) == len(want[i + 1]) == window
+                   for i in range(1, len(want) - 1))
+
+    @pytest.mark.parametrize("p", [0.05, 0.5, 1.0])
+    def test_window_one(self, p):
+        want = check_random_rows(p, 2, 60, 1, 300, seed=6)
+        assert all(len(row) <= 1 for row in want)
+
+    @given(st.data(), st.one_of(st.just(1.0), st.floats(0.005, 1.0)),
+           st.integers(1, 400), st.integers(1, 50), st.integers(1, 150),
+           st.integers(0, 2 ** 32))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_copy_oracle(self, data, p, flow_len, window,
+                                     copies, seed):
+        start = data.draw(st.integers(0, flow_len - 1))
+        check_random_rows(p, start, flow_len, window, copies, seed)
 
 
 class TestSpecSerialization:
