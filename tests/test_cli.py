@@ -76,6 +76,16 @@ class TestExitCodes:
         assert code == 2
         assert str(missing) in err
 
+    def test_coerced_flow_field_is_data_error(self, capsys, tmp_path):
+        corpus = tmp_path / "c.flows"
+        write_flows(generate(2, 1, seed=5), corpus)
+        corpus.write_text(corpus.read_text().replace(
+            '"dport": 443', '"dport": "443"', 1))
+        code, _, err = run(capsys, "stats", "--flows", str(corpus),
+                           "--out", str(tmp_path / "o.csv"))
+        assert code == 2
+        assert "line 2: dport must be an integer in 0..65535" in err
+
     def test_data_errors_share_one_base(self):
         assert cli.DATA_ERRORS == (OSError, DataError)
         for cls in (flows.FlowFormatError, flows.FlowVersionError,
