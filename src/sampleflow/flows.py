@@ -1,9 +1,12 @@
-"""Flow data model and the newline-delimited JSON flow file format."""
+"""Flow data model and the newline-delimited JSON flow file format.
+
+Schema v2 stores each flow's packet columns as base64 of their little-endian
+bytes; v1 files, whose "pkts" are [rel_time, length] pairs, still read."""
 
 from __future__ import annotations
 
+import base64
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Union
@@ -12,7 +15,7 @@ import numpy as np
 
 from . import DataError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _PROTOCOLS = ("tcp", "udp")
 
@@ -91,24 +94,47 @@ def filter_short_flows(flows: Iterable[Flow], min_packets: int) -> list[Flow]:
     return [f for f in flows if len(f) >= min_packets]
 
 
-def _flow_to_record(flow: Flow) -> dict:
-    return {
-        "v": SCHEMA_VERSION,
-        "id": flow.id,
-        "tuple": {
-            "src": flow.five_tuple.src_addr,
-            "dst": flow.five_tuple.dst_addr,
-            "sport": flow.five_tuple.src_port,
-            "dport": flow.five_tuple.dst_port,
-            "proto": flow.five_tuple.protocol,
-        },
-        "label": flow.label,
-        "pkts": list(zip(flow.times.tolist(), flow.signed.tolist())),
-    }
+def _check_fields(fid, src, dst, sport, dport, label, line: int | None
+                  ) -> None:
+    """Raise FlowFormatError unless a flow's id, addresses and label are
+    strings (the label may be None) and its ports are ints in 0..65535."""
+    if label is not None and not isinstance(label, str):
+        raise FlowFormatError(f"label must be a string or null, got {label!r}",
+                              line)
+    for name, value in (("id", fid), ("src", src), ("dst", dst)):
+        if not isinstance(value, str):
+            raise FlowFormatError(f"{name} must be a string, got {value!r}",
+                                  line)
+    for name, port in (("sport", sport), ("dport", dport)):
+        if type(port) is not int or not 0 <= port <= 65535:
+            raise FlowFormatError(
+                f"{name} must be an integer in 0..65535, got {port!r}", line)
 
 
-def _packet_columns(pkts, line: int) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (times, signed) columns of [rel_time, length] pairs."""
+def _check_packets(times: np.ndarray, lengths: np.ndarray, line: int | None
+                   ) -> None:
+    """Raise FlowFormatError unless the columns are a flow's packets: at least
+    one; times finite, at least 0 and non-decreasing; lengths non-zero
+    integers below 2**53 in size."""
+    if times.size == 0:
+        raise FlowFormatError("flow has no packets", line)
+    if not np.isfinite(times).all():
+        raise FlowFormatError("non-finite rel_time", line)
+    if (times < 0).any():
+        raise FlowFormatError(f"negative rel_time {times.min()}", line)
+    if (np.diff(times) < 0).any():
+        raise FlowFormatError("rel_time decreases", line)
+    if not ((-2.0 ** 53 < lengths) & (lengths < 2.0 ** 53)
+            & (lengths == np.trunc(lengths))).all():
+        raise FlowFormatError("packet length is not an integer", line)
+    if (lengths == 0).any():
+        raise FlowFormatError("zero packet length", line)
+
+
+def _pair_columns(rec: dict, line: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (times, signed) columns of a v1 record's "pkts", a list of
+    [rel_time, length] pairs."""
+    pkts = rec["pkts"]
     try:
         pairs = np.array(pkts, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -118,17 +144,7 @@ def _packet_columns(pkts, line: int) -> tuple[np.ndarray, np.ndarray]:
             raise FlowFormatError("flow has no packets", line)
         raise FlowFormatError("packets must be [rel_time, length] pairs", line)
     times, lengths = pairs[:, 0].copy(), pairs[:, 1]
-    if not np.isfinite(times).all():
-        raise FlowFormatError("non-finite rel_time", line)
-    if (times < 0).any():
-        raise FlowFormatError(f"negative rel_time {times.min()}", line)
-    if (np.diff(times) < 0).any():
-        raise FlowFormatError("rel_time decreases", line)
-    if not ((np.abs(lengths) < 2.0 ** 53)
-            & (lengths == np.trunc(lengths))).all():
-        raise FlowFormatError("packet length is not an integer", line)
-    if (lengths == 0).any():
-        raise FlowFormatError("zero packet length", line)
+    _check_packets(times, lengths, line)
     # np.array converts booleans and numeric strings; checked last, so that
     # a list rejected by the checks above keeps its message
     for pair in pkts:
@@ -139,178 +155,99 @@ def _packet_columns(pkts, line: int) -> tuple[np.ndarray, np.ndarray]:
     return times, lengths.astype(np.int64)
 
 
-def _record_to_flow(rec: dict, line: int,
-                    columns: tuple[np.ndarray, np.ndarray] | None = None
-                    ) -> Flow:
-    """The flow of one decoded record. `columns` are its packets' (times,
-    signed), when the block reader has already parsed and checked them."""
-    label = rec.get("label")
-    if label is not None and not isinstance(label, str):
-        raise FlowFormatError(f"label must be a string or null, got {label!r}",
+# v2 packet columns: record key, dtype of its bytes, dtype of the column
+_COLUMNS = (("times", "<f8", np.float64), ("lengths", "<i8", np.int64))
+
+
+def _base64_columns(rec: dict, line: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (times, signed) columns of a v2 record: "times" and
+    "lengths" are the standard base64 of little-endian float64 and int64."""
+    columns = []
+    for key, stored, dtype in _COLUMNS:
+        text = rec[key]
+        if not isinstance(text, str):
+            raise FlowFormatError(
+                f"{key} must be a base64 string, got {text!r:.40}", line)
+        try:
+            data = base64.b64decode(text, validate=True)
+        except ValueError as exc:  # binascii.Error, or a non-ASCII string
+            raise FlowFormatError(f"{key} is not base64: {exc}", line) from exc
+        if len(data) % 8:
+            raise FlowFormatError(
+                f"{key} holds {len(data)} bytes, not a multiple of 8", line)
+        columns.append(np.frombuffer(data, stored).astype(dtype))
+    times, signed = columns
+    if times.shape != signed.shape:
+        raise FlowFormatError(f"{len(times)} times but {len(signed)} lengths",
                               line)
+    _check_packets(times, signed, line)
+    return times, signed
+
+
+_COLUMN_READERS = {1: _pair_columns, 2: _base64_columns}
+
+
+def _record_to_flow(rec: dict, line: int, version: int) -> Flow:
+    """The flow of one decoded record of a file of the given version."""
     try:
         t = rec["tuple"]
         # int() first, so that a port int() cannot convert keeps the "bad
         # flow record" message; the type and range are checked below
         five = FiveTuple(t["src"], t["dst"], int(t["sport"]), int(t["dport"]),
                          t["proto"])
-        times, signed = (_packet_columns(rec["pkts"], line)
-                         if columns is None else columns)
+        times, signed = _COLUMN_READERS[version](rec, line)
         fid = rec["id"]
     except FlowFormatError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FlowFormatError(f"bad flow record: {exc}", line) from exc
-    for name, value in (("id", fid), ("src", t["src"]), ("dst", t["dst"])):
-        if not isinstance(value, str):
-            raise FlowFormatError(f"{name} must be a string, got {value!r}",
-                                  line)
-    for name in ("sport", "dport"):
-        port = t[name]
-        if type(port) is not int or not 0 <= port <= 65535:
-            raise FlowFormatError(
-                f"{name} must be an integer in 0..65535, got {port!r}", line)
+    label = rec.get("label")
+    _check_fields(fid, t["src"], t["dst"], t["sport"], t["dport"], label, line)
     return Flow(id=fid, five_tuple=five, times=times, signed=signed,
                 label=label)
 
 
-def _read_record(raw: str, line: int) -> Flow:
-    """One record line through json: the reference reader."""
+def _read_record(raw: str, line: int, version: int) -> Flow:
+    """One record line of a file whose header declares `version`."""
     try:
         rec = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise FlowFormatError(f"bad JSON: {exc}", line) from exc
     if not isinstance(rec, dict):
         raise FlowFormatError("flow record is not an object", line)
-    if rec.get("v") != SCHEMA_VERSION:
-        raise FlowVersionError(f"unsupported schema version {rec.get('v')}",
-                               line)
-    return _record_to_flow(rec, line)
+    if rec.get("v") != version:
+        raise FlowVersionError(f"record schema version {rec.get('v')!r} is "
+                               f"not the header's {version}", line)
+    return _record_to_flow(rec, line, version)
 
 
-# The block reader parses the packet text of consecutive records, up to about
-# this many bytes, with one np.fromstring call. On a 14 MB file 128 KiB reads
-# as fast as 1 MiB; 256 KiB and 1 MiB blocks raised the peak RSS of a process
-# that reads small files between other work, 128 KiB did not.
-_BLOCK_BYTES = 1 << 17
-_PKTS_KEY = '"pkts": [['
-
-# Byte classes of packet text: the index in _CLASS_BYTES, or 15 for any other
-# byte, so that a pair of classes fits one byte.
-_CLASS_BYTES = (b"[", b" ", b",", b"]", b"0", b"123456789", b".", b"eE", b"-",
-                b"+")
-_DIGITS = b"0123456789"
-# The bytes that may follow each class in json.dumps' text of [number,
-# number] pairs. A time starts with a digit and a length with 1-9 or -: a time
-# starting - or a length starting 0 is never valid (and to json -0 is the
-# integer 0, which numpy reads as -0.0), so json reads those records.
-_FOLLOWERS = (_DIGITS, b"123456789-[", b" ", b",", _DIGITS + b".eE,]",
-              _DIGITS + b".eE,]", _DIGITS, _DIGITS + b"-+", _DIGITS, _DIGITS)
-# Events of adjacent bytes: 0 for a pair that may not occur, 1 for any other
-# pair, 2 for a time's first 0 or a length's -, 3 for a 0 before a digit or a
-# -0. So 2 then 3 is a time json rejects for its leading zero, or a length
-# starting -0, which is zero, a fraction or json's error.
-_EVENTS = {(b"[", b"0"): 2, (b" ", b"-"): 2, (b"0", b"0"): 3,
-           (b"0", b"123456789"): 3, (b"-", b"0"): 3}
-_BAD_START = re.compile(b"\2\3")
-
-
-def _pair_tables() -> tuple[bytes, bytes]:
-    """(byte -> class, pair -> event); the classes a, b of a pair make the
-    byte a << 4 | b."""
-    classes = bytearray([15]) * 256
-    for cls, chars in enumerate(_CLASS_BYTES):
-        for ch in chars:
-            classes[ch] = cls
-    events = bytearray(256)
-    for a, first in enumerate(_CLASS_BYTES):
-        for b, second in enumerate(_CLASS_BYTES):
-            if second[0] in _FOLLOWERS[a]:
-                events[a << 4 | b] = _EVENTS.get((first, second), 1)
-    return bytes(classes), bytes(events)
-
-
-_CLASS_TABLE, _EVENT_TABLE = _pair_tables()
-# a fraction or exponent after an exponent, in text without its digits
-_AFTER_EXPONENT = {mark: re.compile(mark + rb"[+-]?[.eE]")
-                   for mark in (b"e", b"E")}
-_UNBRACKET = bytes.maketrans(b"[]", b"  ")
-
-
-def _split_record(raw: str) -> tuple[dict, bytes] | None:
-    """A record line whose last key is "pkts" as (the record decoded with
-    empty packets, the ASCII text of its pairs); None for any other line.
-
-    The text after the first "pkts" key is the pairs' only if it passes the
-    block checks, which also make that key the last."""
-    i = raw.find(_PKTS_KEY)
-    if i < 0 or not raw.endswith("]]}"):
-        return None
+def _flow_to_line(flow: Flow) -> str:
+    """The v2 record line of a flow; FlowFormatError, naming the flow, if
+    read_flows would reject it."""
+    five = flow.five_tuple
     try:
-        rec = json.loads(raw[:i] + '"pkts": []}')
-    except json.JSONDecodeError:
-        return None
-    # rec is an object: the text that parsed ends with "}"
-    text = raw[i + len(_PKTS_KEY) - 1:-2]  # from the first pair's "["
-    if rec.get("v") != SCHEMA_VERSION or not text.isascii():
-        return None
-    return rec, text.encode("ascii")
-
-
-def _json_number_pairs(data: bytes, skeleton: bytes, n: int) -> bool:
-    """Whether `data` is n [number, number] pairs as json.dumps spells them,
-    every number in json's syntax and not starting as no valid time or length
-    does (see _FOLLOWERS and _EVENTS). `skeleton` is `data` without its
-    digits.
-
-    np.fromstring then reads every number whole, as json would."""
-    if skeleton.translate(None, b".eE+-") != b"[, ], " * (n - 1) + b"[, ]":
-        return False
-    if b".." in skeleton or any(mark in skeleton and after.search(skeleton)
-                                for mark, after in _AFTER_EXPONENT.items()):
-        return False
-    classes = np.frombuffer(data.translate(_CLASS_TABLE), dtype=np.uint8)
-    events = ((classes[:-1] << 4) | classes[1:]).tobytes().translate(
-        _EVENT_TABLE)
-    return not (b"\0" in events or _BAD_START.search(events))
-
-
-def _block_columns(texts: list[bytes]
-                   ) -> list[tuple[np.ndarray, np.ndarray]] | None:
-    """Each text's (times, signed), parsed with one np.fromstring call; None
-    unless every text is pairs of JSON numbers that _packet_columns accepts."""
-    skeletons = [t.translate(None, _DIGITS) for t in texts]
-    counts = [s.count(b"[") for s in skeletons]
-    data = b", ".join(texts)
-    if not _json_number_pairs(data, b", ".join(skeletons), sum(counts)):
-        return None
-    values = np.fromstring(data.translate(_UNBRACKET), sep=",")
-    if values.size != 2 * sum(counts):
-        return None
-    # no time starts with -, so none is below 0
-    times, lengths = values[0::2], values[1::2]
-    ends = np.cumsum(counts)
-    steps = np.diff(times)
-    steps[ends[:-1] - 1] = 0.0  # from one flow's last packet to the next's
-    if not (np.isfinite(times).all() and (steps >= 0).all()
-            and (lengths != 0).all()
-            and ((np.abs(lengths) < 2.0 ** 53)
-                 & (lengths == np.trunc(lengths))).all()):
-        return None
-    return [(times[a:b].copy(), lengths[a:b].astype(np.int64))
-            for a, b in zip(ends - counts, ends)]
-
-
-def _read_block(block: list) -> list[Flow]:
-    """The flows of (line, raw, record, packet text) entries: from one block
-    parse, or line by line through json if the block fails a check."""
-    if not block:
-        return []
-    columns = _block_columns([text for _, _, _, text in block])
-    if columns is None:
-        return [_read_record(raw, line) for line, raw, _, _ in block]
-    return [_record_to_flow(rec, line, cols)
-            for (line, _, rec, _), cols in zip(block, columns)]
+        _check_fields(flow.id, five.src_addr, five.dst_addr, five.src_port,
+                      five.dst_port, flow.label, None)
+        _check_packets(flow.times, flow.signed, None)
+    except FlowFormatError as exc:
+        raise FlowFormatError(f"flow {flow.id!r}: {exc}") from None
+    columns = {key: base64.b64encode(column.astype(stored).tobytes()
+                                     ).decode("ascii")
+               for (key, stored, _), column in zip(_COLUMNS,
+                                                   (flow.times, flow.signed))}
+    return json.dumps({
+        "v": SCHEMA_VERSION,
+        "id": flow.id,
+        "tuple": {
+            "src": five.src_addr,
+            "dst": five.dst_addr,
+            "sport": five.src_port,
+            "dport": five.dst_port,
+            "proto": five.protocol,
+        },
+        "label": flow.label,
+        **columns,
+    })
 
 
 Sink = Union[str, Path, IO[str]]
@@ -323,17 +260,20 @@ def _open_for(target: Sink, mode: str):
 
 
 def write_flows(flows: Iterable[Flow], sink: Sink) -> None:
+    """Write a v2 flow file. Every flow is checked before the sink is opened,
+    so a flow that read_flows would reject leaves no file."""
+    lines = [json.dumps({"v": SCHEMA_VERSION, "format": "flows"}) + "\n"]
+    lines += [_flow_to_line(flow) + "\n" for flow in flows]
     fh, owned = _open_for(sink, "w")
     try:
-        fh.write(json.dumps({"v": SCHEMA_VERSION, "format": "flows"}) + "\n")
-        for flow in flows:
-            fh.write(json.dumps(_flow_to_record(flow)) + "\n")
+        fh.writelines(lines)
     finally:
         if owned:
             fh.close()
 
 
 def read_flows(source: Sink) -> list[Flow]:
+    """The flows of a v2 file, or of a v1 file (read through json)."""
     fh, owned = _open_for(source, "r")
     try:
         lines = fh.read().splitlines()
@@ -350,21 +290,8 @@ def read_flows(source: Sink) -> list[Flow]:
         raise FlowFormatError(f"bad header: {exc}", 1) from exc
     if not isinstance(header, dict) or header.get("format") != "flows":
         raise FlowFormatError("not a flow file (bad header line)", 1)
-    if header.get("v") != SCHEMA_VERSION:
-        raise FlowVersionError(f"unsupported schema version {header.get('v')}", 1)
-    flows, block, size = [], [], 0
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        split = _split_record(raw)
-        if split is None:
-            flows += _read_block(block)
-            block, size = [], 0
-            flows.append(_read_record(raw, lineno))
-            continue
-        block.append((lineno, raw, *split))
-        size += len(split[1])
-        if size >= _BLOCK_BYTES:
-            flows += _read_block(block)
-            block, size = [], 0
-    return flows + _read_block(block)
+    version = header.get("v")
+    if type(version) is not int or version not in _COLUMN_READERS:
+        raise FlowVersionError(f"unsupported schema version {version}", 1)
+    return [_read_record(raw, lineno, version)
+            for lineno, raw in enumerate(lines[1:], start=2) if raw.strip()]

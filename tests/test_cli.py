@@ -23,6 +23,7 @@ from sampleflow.neural import (CheckpointError, DegenerateBatchError,
                                load_checkpoint, save_checkpoint)
 from sampleflow.synth import generate
 from tests import pcaputil as pc
+from tests.flows_v1 import write_flows_v1
 from tests.test_neural import rewrite_meta_text
 
 
@@ -180,7 +181,7 @@ class TestExitCodes:
                                                    old, new):
         # a NaN time, then a first packet later than the second
         f = tmp_path / "bad.flows"
-        write_flows(generate(2, 1, seed=5), f)
+        write_flows_v1(generate(2, 1, seed=5), f)
         header, first, second = f.read_text().splitlines()
         first = first.replace(old, new, 1)
         assert new in first
@@ -189,6 +190,29 @@ class TestExitCodes:
                            "--out", str(tmp_path / "o.csv"))
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("times", "AAAA!AAAAAAA", "times is not base64"),
+        ("lengths", "ZAAAAAAAAAA", "lengths is not base64"),
+        ("times", "AAAAAAAAAA==", "times holds 7 bytes"),
+        ("lengths", "ZAAAAAAAAAA=", r"\d+ times but 1 lengths"),
+        ("times", 5, "times must be a base64 string"),
+        ("times", "", "0 times but"),
+        ("v", 1, "record schema version 1 is not the header's 2"),
+    ], ids=["non-base64", "padding", "7 bytes", "unequal", "number", "empty",
+            "record v1"])
+    def test_v2_column_faults_are_data_errors(self, capsys, tmp_path, key,
+                                              value, message):
+        f = tmp_path / "bad.flows"
+        write_flows(generate(2, 1, seed=5), f)
+        header, first, second = f.read_text().splitlines()
+        first = json.dumps({**json.loads(first), key: value})
+        f.write_text("\n".join([header, first, second]) + "\n")
+        code, _, err = run(capsys, "stats", "--flows", str(f),
+                           "--out", str(tmp_path / "o.csv"))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert re.search("line 2: " + message, err)
 
 
 class TestIngestCommand:
