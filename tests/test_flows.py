@@ -310,6 +310,23 @@ class TestBlockReader:
                 f"[[0.0, 100], [0.5, {number}]]")
         check_against_reference(three_records(record(pkts=pkts, fid='"b"')))
 
+    @pytest.mark.parametrize("number", ["1e5", "1E+05", "1e-05", "1e0"])
+    def test_valid_exponent_takes_block_parse(self, number):
+        """A v1 time in exponent form reads to its exact value, and a v2
+        rewrite keeps it bit for bit."""
+        flows = read_flows(io.StringIO(three_records(
+            record(pkts=f"[[0.0, 100], [{number}, 100]]", fid='"b"'))))
+        assert flows[1].times[1] == float(number)
+        assert column_bytes(roundtrip(flows)) == column_bytes(flows)
+
+    @pytest.mark.parametrize("number", _NUMBERS + ["-0.0"], ids=number_id)
+    def test_other_number_leaves_block_parse(self, number):
+        """A v1 length that is not a nonzero JSON integer is refused on its
+        line, as the json reference refuses it."""
+        got = check_against_reference(three_records(
+            record(pkts=f"[[0.0, {number}]]", fid='"b"')))
+        assert got[0] is FlowFormatError and got[2] == 3
+
     @pytest.mark.parametrize("name", _STRUCTURES)
     def test_structure_matches_json(self, name):
         check_against_reference(three_records(_STRUCTURES[name]))
