@@ -1,7 +1,7 @@
 """Flow data model and the newline-delimited JSON flow file format.
 
-Schema v2 stores each flow's packet columns as base64 of their little-endian
-bytes; v1 files, whose "pkts" are [rel_time, length] pairs, still read."""
+A record stores its flow's packet columns as base64 of their little-endian
+bytes."""
 
 from __future__ import annotations
 
@@ -63,8 +63,8 @@ class Flow:
     label: str | None = None
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=np.float64)
-        self.signed = np.asarray(self.signed, dtype=np.int64)
+        self.times = _column(self.times, np.float64, "times")
+        self.signed = _column(self.signed, np.int64, "signed")
         if self.times.ndim != 1 or self.times.shape != self.signed.shape:
             raise ValueError("times and signed must be 1-D, of equal length")
 
@@ -85,6 +85,22 @@ class Flow:
         reader is perfbench/workloads.py; it goes once that reads columns."""
         return tuple(PacketEvent(t, s) for t, s in
                      zip(self.times.tolist(), self.signed.tolist()))
+
+
+def _column(values, dtype, name: str) -> np.ndarray:
+    """values as a dtype array; ValueError for a boolean, or a value of a
+    type that dtype does not hold exactly: a string or, for int64, a float.
+    An empty column passes, so that write_flows names it."""
+    array = np.asarray(values)
+    if array.size and (array.dtype.kind == "b"
+                       or not np.can_cast(array.dtype, dtype)
+                       # np.asarray turns a boolean among numbers into one
+                       or not isinstance(values, np.ndarray) and any(
+                           isinstance(v, (bool, np.bool_))
+                           for v in np.asarray(values, dtype=object).flat)):
+        raise ValueError(f"{name} must hold {np.dtype(dtype)} values, got "
+                         f"{values!r:.60}")
+    return array.astype(dtype, copy=False)
 
 
 def filter_short_flows(flows: Iterable[Flow], min_packets: int) -> list[Flow]:
@@ -114,8 +130,8 @@ def _check_fields(fid, src, dst, sport, dport, label, line: int | None
 def _check_packets(times: np.ndarray, lengths: np.ndarray, line: int | None
                    ) -> None:
     """Raise FlowFormatError unless the columns are a flow's packets: at least
-    one; times finite, at least 0 and non-decreasing; lengths non-zero
-    integers below 2**53 in size."""
+    one; times finite, at least 0 and non-decreasing; int64 lengths non-zero
+    and below 2**53 in size."""
     if times.size == 0:
         raise FlowFormatError("flow has no packets", line)
     if not np.isfinite(times).all():
@@ -124,44 +140,22 @@ def _check_packets(times: np.ndarray, lengths: np.ndarray, line: int | None
         raise FlowFormatError(f"negative rel_time {times.min()}", line)
     if (np.diff(times) < 0).any():
         raise FlowFormatError("rel_time decreases", line)
-    if not ((-2.0 ** 53 < lengths) & (lengths < 2.0 ** 53)
-            & (lengths == np.trunc(lengths))).all():
-        raise FlowFormatError("packet length is not an integer", line)
+    # compared as floats: abs(-2**63) overflows int64
+    small = (-2.0 ** 53 < lengths) & (lengths < 2.0 ** 53)
+    if not small.all():
+        raise FlowFormatError("packet length must be an integer below 2**53 "
+                              f"in size, got {lengths[~small][0]}", line)
     if (lengths == 0).any():
         raise FlowFormatError("zero packet length", line)
 
 
-def _pair_columns(rec: dict, line: int) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (times, signed) columns of a v1 record's "pkts", a list of
-    [rel_time, length] pairs."""
-    pkts = rec["pkts"]
-    try:
-        pairs = np.array(pkts, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FlowFormatError(f"bad packet list: {exc}", line) from exc
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        if pairs.size == 0:
-            raise FlowFormatError("flow has no packets", line)
-        raise FlowFormatError("packets must be [rel_time, length] pairs", line)
-    times, lengths = pairs[:, 0].copy(), pairs[:, 1]
-    _check_packets(times, lengths, line)
-    # np.array converts booleans and numeric strings; checked last, so that
-    # a list rejected by the checks above keeps its message
-    for pair in pkts:
-        for value in pair:
-            if type(value) is not float and type(value) is not int:
-                raise FlowFormatError(
-                    f"packet field is not a number: {value!r}", line)
-    return times, lengths.astype(np.int64)
-
-
-# v2 packet columns: record key, dtype of its bytes, dtype of the column
+# packet columns: record key, dtype of its bytes, dtype of the column
 _COLUMNS = (("times", "<f8", np.float64), ("lengths", "<i8", np.int64))
 
 
 def _base64_columns(rec: dict, line: int) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (times, signed) columns of a v2 record: "times" and
-    "lengths" are the standard base64 of little-endian float64 and int64."""
+    """Validated (times, signed) columns of a record: "times" and "lengths"
+    are the standard base64 of little-endian float64 and int64."""
     columns = []
     for key, stored, dtype in _COLUMNS:
         text = rec[key]
@@ -184,18 +178,15 @@ def _base64_columns(rec: dict, line: int) -> tuple[np.ndarray, np.ndarray]:
     return times, signed
 
 
-_COLUMN_READERS = {1: _pair_columns, 2: _base64_columns}
-
-
-def _record_to_flow(rec: dict, line: int, version: int) -> Flow:
-    """The flow of one decoded record of a file of the given version."""
+def _record_to_flow(rec: dict, line: int) -> Flow:
+    """The flow of one decoded record."""
     try:
         t = rec["tuple"]
         # int() first, so that a port int() cannot convert keeps the "bad
         # flow record" message; the type and range are checked below
         five = FiveTuple(t["src"], t["dst"], int(t["sport"]), int(t["dport"]),
                          t["proto"])
-        times, signed = _COLUMN_READERS[version](rec, line)
+        times, signed = _base64_columns(rec, line)
         fid = rec["id"]
     except FlowFormatError:
         raise
@@ -207,22 +198,22 @@ def _record_to_flow(rec: dict, line: int, version: int) -> Flow:
                 label=label)
 
 
-def _read_record(raw: str, line: int, version: int) -> Flow:
-    """One record line of a file whose header declares `version`."""
+def _read_record(raw: str, line: int) -> Flow:
+    """One record line."""
     try:
         rec = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise FlowFormatError(f"bad JSON: {exc}", line) from exc
     if not isinstance(rec, dict):
         raise FlowFormatError("flow record is not an object", line)
-    if rec.get("v") != version:
+    if rec.get("v") != SCHEMA_VERSION:
         raise FlowVersionError(f"record schema version {rec.get('v')!r} is "
-                               f"not the header's {version}", line)
-    return _record_to_flow(rec, line, version)
+                               f"not the header's {SCHEMA_VERSION}", line)
+    return _record_to_flow(rec, line)
 
 
 def _flow_to_line(flow: Flow) -> str:
-    """The v2 record line of a flow; FlowFormatError, naming the flow, if
+    """The record line of a flow; FlowFormatError, naming the flow, if
     read_flows would reject it."""
     five = flow.five_tuple
     try:
@@ -260,7 +251,7 @@ def _open_for(target: Sink, mode: str):
 
 
 def write_flows(flows: Iterable[Flow], sink: Sink) -> None:
-    """Write a v2 flow file. Every flow is checked before the sink is opened,
+    """Write a flow file. Every flow is checked before the sink is opened,
     so a flow that read_flows would reject leaves no file."""
     lines = [json.dumps({"v": SCHEMA_VERSION, "format": "flows"}) + "\n"]
     lines += [_flow_to_line(flow) + "\n" for flow in flows]
@@ -273,7 +264,8 @@ def write_flows(flows: Iterable[Flow], sink: Sink) -> None:
 
 
 def read_flows(source: Sink) -> list[Flow]:
-    """The flows of a v2 file, or of a v1 file (read through json)."""
+    """The flows of a flow file of schema version SCHEMA_VERSION, the only
+    version read; FlowFormatError, naming the line, for any other content."""
     fh, owned = _open_for(source, "r")
     try:
         lines = fh.read().splitlines()
@@ -291,7 +283,7 @@ def read_flows(source: Sink) -> list[Flow]:
     if not isinstance(header, dict) or header.get("format") != "flows":
         raise FlowFormatError("not a flow file (bad header line)", 1)
     version = header.get("v")
-    if type(version) is not int or version not in _COLUMN_READERS:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise FlowVersionError(f"unsupported schema version {version}", 1)
-    return [_read_record(raw, lineno, version)
+    return [_read_record(raw, lineno)
             for lineno, raw in enumerate(lines[1:], start=2) if raw.strip()]

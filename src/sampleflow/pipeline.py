@@ -89,8 +89,6 @@ class TrainConfig:
     def from_dict(cls, d: dict) -> "TrainConfig":
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
-        # retired key, still in configs and checkpoints of earlier versions
-        d = {k: v for k, v in d.items() if k != "labeled_flows_per_class"}
         known = {f.name for f in fields(cls)}
         required = {f.name for f in fields(cls) if f.default is MISSING}
         if set(d) - known:

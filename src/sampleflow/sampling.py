@@ -7,13 +7,12 @@ import json
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
-from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import Iterable, Union
 
 import numpy as np
 
 from . import DataError
-from .flows import Flow
+from .flows import Flow, Sink, _open_for
 
 # most uniform draws random sampling takes in its first block; doubled
 # while a copy needs more
@@ -249,13 +248,11 @@ def derive_rng(master_seed: int, flow_id: str) -> np.random.Generator:
 
 
 def write_sampled(samples: Iterable[tuple[Flow, np.ndarray]],
-                  sink: Union[str, Path, IO[str]]) -> None:
+                  sink: Sink) -> None:
     """Sampled-flow file: one JSON record per copy with realized packets.
 
     samples pairs each flow with its augment index matrix.
     """
-    from .flows import _open_for
-
     fh, owned = _open_for(sink, "w")
     try:
         fh.write(json.dumps({"v": 1, "format": "sampled"}) + "\n")

@@ -1,3 +1,4 @@
+import base64
 import csv
 import hashlib
 import json
@@ -23,7 +24,6 @@ from sampleflow.neural import (CheckpointError, DegenerateBatchError,
                                load_checkpoint, save_checkpoint)
 from sampleflow.synth import generate
 from tests import pcaputil as pc
-from tests.flows_v1 import write_flows_v1
 from tests.test_neural import rewrite_meta_text
 
 
@@ -174,22 +174,38 @@ class TestExitCodes:
                            "--out", str(tmp_path / "o.csv"))
         assert code == 2
 
-    @pytest.mark.parametrize("old, new", [("0.0, ", "NaN, "),
-                                          ("0.0, ", "1e9, ")],
+    @pytest.mark.parametrize("first_time, message",
+                             [(float("nan"), "non-finite rel_time"),
+                              (1e9, "rel_time decreases")],
                              ids=["nan-time", "decreasing-time"])
     def test_invalid_packet_times_are_data_errors(self, capsys, tmp_path,
-                                                   old, new):
+                                                   first_time, message):
         # a NaN time, then a first packet later than the second
         f = tmp_path / "bad.flows"
-        write_flows_v1(generate(2, 1, seed=5), f)
+        write_flows(generate(2, 1, seed=5), f)
         header, first, second = f.read_text().splitlines()
-        first = first.replace(old, new, 1)
-        assert new in first
-        f.write_text("\n".join([header, first, second]) + "\n")
+        rec = json.loads(first)
+        times = np.frombuffer(base64.b64decode(rec["times"]), "<f8").copy()
+        times[0] = first_time
+        rec["times"] = base64.b64encode(times.tobytes()).decode()
+        f.write_text("\n".join([header, json.dumps(rec), second]) + "\n")
         code, _, err = run(capsys, "stats", "--flows", str(f),
                            "--out", str(tmp_path / "o.csv"))
         assert code == 2
-        assert "line 2" in err
+        assert "line 2: " + message in err
+
+    def test_v1_flow_file_is_data_error(self, capsys, tmp_path):
+        # packets as [rel_time, length] pairs, as schema 1 stored them
+        f, out = tmp_path / "old.flows", tmp_path / "o.csv"
+        f.write_text('{"v": 1, "format": "flows"}\n{"v": 1, "id": "f0", '
+                     '"tuple": {"src": "10.0.0.1", "dst": "10.0.0.2", '
+                     '"sport": 1234, "dport": 443, "proto": "udp"}, '
+                     '"label": null, "pkts": [[0.0, 100]]}\n')
+        code, _, err = run(capsys, "stats", "--flows", str(f),
+                           "--out", str(out))
+        assert code == 2
+        assert err == "error: line 1: unsupported schema version 1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value, message", [
         ("times", "AAAA!AAAAAAA", "times is not base64"),
@@ -689,24 +705,37 @@ class TestPipelineRoundTrip:
         assert code == 2
         assert "classifier" in err
 
-    def test_checkpoints_with_retired_key(self, capsys, workspace):
+    def test_config_with_retired_key(self, capsys, workspace, tmp_path):
+        # earlier versions read and wrote labeled_flows_per_class
+        _, flows_path, cfg_path = workspace
+        cfg, out = tmp_path / "old.json", tmp_path / "out.ckpt"
+        cfg.write_text(json.dumps({**json.loads(cfg_path.read_text()),
+                                   "labeled_flows_per_class": 20}))
+        code, _, err = run(capsys, "pretrain", "--flows", str(flows_path),
+                           "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert "unknown config keys ['labeled_flows_per_class']" in err
+        assert not out.exists()
+
+    def test_checkpoints_with_retired_key(self, capsys, workspace, tmp_path):
         # earlier versions wrote labeled_flows_per_class into train_config
-        root, flows_path, _ = workspace
+        _, flows_path, _ = workspace
 
         def add_key(meta):
             meta["train_config"]["labeled_flows_per_class"] = 20
 
-        old_pre, clf = root / "old_pre.ckpt", root / "old_clf.ckpt"
+        old_pre, old_clf = tmp_path / "old_pre.ckpt", tmp_path / "old_clf.ckpt"
         rewrite_meta(pretrained_model(workspace), old_pre, add_key)
-        code, _, _ = run(capsys, "retrain", "--model", str(old_pre),
-                         "--flows", str(flows_path), "--classes", "c0,c1",
-                         "--out", str(clf))
-        assert code == 0
-        rewrite_meta(clf, clf, add_key)
-        code, _, _ = run(capsys, "evaluate", "--model", str(clf),
-                         "--flows", str(flows_path),
-                         "--report", str(root / "old.json"))
-        assert code == 0
+        rewrite_meta(classifier_model(workspace), old_clf, add_key)
+        out = tmp_path / "out"
+        for argv in (["retrain", "--model", str(old_pre), "--classes",
+                      "c0,c1", "--out", str(out)],
+                     ["evaluate", "--model", str(old_clf), "--report",
+                      str(out)]):
+            code, _, err = run(capsys, *argv, "--flows", str(flows_path))
+            assert code == 2
+            assert "unknown config keys ['labeled_flows_per_class']" in err
+            assert not out.exists()
 
     def test_evaluate_rejects_class_list_of_wrong_length(self, capsys,
                                                          workspace):
