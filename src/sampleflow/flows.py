@@ -206,8 +206,9 @@ def _read_record(raw: str, line: int) -> Flow:
         raise FlowFormatError(f"bad JSON: {exc}", line) from exc
     if not isinstance(rec, dict):
         raise FlowFormatError("flow record is not an object", line)
-    if rec.get("v") != SCHEMA_VERSION:
-        raise FlowVersionError(f"record schema version {rec.get('v')!r} is "
+    version = rec.get("v")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise FlowVersionError(f"record schema version {version!r} is "
                                f"not the header's {SCHEMA_VERSION}", line)
     return _record_to_flow(rec, line)
 

@@ -6,6 +6,12 @@ input does exactly float64 arithmetic.
 
 A forward with train=True keeps what backward needs in `_cache`; a forward
 with train=False keeps nothing, so backward after it raises RuntimeError.
+
+The backward of a layer with parameters takes two more positional arguments,
+which a train step uses: `defer(fn, *args)` is handed the work that only
+feeds parameter gradients (by default it runs at once), and need_dx=False
+skips the input gradient and returns None. Called with dy alone, it returns
+dx with the gradients complete.
 """
 
 from __future__ import annotations
@@ -22,6 +28,10 @@ class ShapeError(DataError):
 
 class DegenerateBatchError(ValueError):
     pass
+
+
+def run_now(fn, *args) -> None:
+    fn(*args)
 
 
 class Param:
@@ -93,18 +103,23 @@ class Conv1d(Layer):
         self._cache = cols if train else None
         return y.reshape(self.out_channels, w, n).transpose(2, 0, 1)
 
-    def backward(self, dy):
+    def backward(self, dy, defer=run_now, need_dx=True):
         cols = self._cached()
         n, o, w = dy.shape
         c, k = self.in_channels, self.kernel
         dy2 = dy.transpose(1, 2, 0).reshape(o, w * n)
-        self.weight.grad += (dy2 @ cols.T).reshape(o, c, k)
-        self.bias.grad += dy2.sum(axis=1)
+        defer(self._add_grads, dy2, cols)
+        if not need_dx:
+            return None
         dcols = (self.weight.value.reshape(o, -1).T @ dy2).reshape(c, k, w, n)
         dx_pad = np.zeros((c, w + 2 * self.pad, n))
         for j in range(k):  # col2im: tap j read x_pad[:, j:j + w]
             dx_pad[:, j:j + w] += dcols[:, j]
         return dx_pad[:, self.pad:self.pad + w].transpose(2, 0, 1)
+
+    def _add_grads(self, dy2, cols):
+        self.weight.grad += (dy2 @ cols.T).reshape(self.weight.grad.shape)
+        self.bias.grad += dy2.sum(axis=1)
 
 
 class BatchNorm1d(Layer):
@@ -154,12 +169,15 @@ class BatchNorm1d(Layer):
         y += self.beta.value[:, None]
         return y
 
-    def backward(self, dy):
+    def backward(self, dy, defer=run_now, need_dx=True):
+        """dx needs dgamma and dbeta, so they are summed here, not deferred."""
         xhat, inv_std = self._cached()
         dgamma = (dy * xhat).sum(axis=(0, 2))
         dbeta = dy.sum(axis=(0, 2))
         self.gamma.grad += dgamma
         self.beta.grad += dbeta
+        if not need_dx:
+            return None
         # gamma * inv_std * (dy - sum(dy)/m - xhat * sum(dy * xhat)/m)
         m = dy.size // self.channels
         dx = xhat * (-dgamma / m)[:, None]
@@ -244,8 +262,11 @@ class Dense(Layer):
         return (x @ self.weight.value.astype(x.dtype, copy=False)
                 + self.bias.value.astype(x.dtype, copy=False))
 
-    def backward(self, dy):
+    def backward(self, dy, defer=run_now, need_dx=True):
         x = self._cached()
+        defer(self._add_grads, x, dy)
+        return dy @ self.weight.value.T if need_dx else None
+
+    def _add_grads(self, x, dy):
         self.weight.grad += x.T @ dy
         self.bias.grad += dy.sum(axis=0)
-        return dy @ self.weight.value.T

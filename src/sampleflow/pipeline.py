@@ -15,6 +15,7 @@ from .features import (FEATURE_ORDER_VERSION, input_matrix, normalize_targets,
 from .flows import Flow
 from .neural import (Adam, Network, build_classifier, build_regressor,
                      cross_entropy_loss, init_params, mse_loss, transfer_trunk)
+from .neural.worker import WORKER
 from .sampling import (SamplingSpec, augment, derive_rng, spec_from_dict,
                        spec_to_dict)
 
@@ -148,6 +149,27 @@ def build_classification_dataset(flows: list[Flow], classes: list[str],
     return np.concatenate(xs), np.concatenate(ys), flow_of
 
 
+def _backward(net: Network, dy: np.ndarray, optimizer: Adam) -> None:
+    """net.backward(dy) for a train step, on two threads.
+
+    The caller computes each layer's input gradient; each layer's parameter
+    gradients and Adam update are queued on the worker as soon as the caller
+    is done with the layer, and optimizer.step() waits for them. The first
+    layer's input gradient is not computed, since nothing reads it."""
+    try:
+        for i in range(len(net.layers) - 1, -1, -1):
+            layer = net.layers[i]
+            params = layer.params()
+            if not params:
+                dy = layer.backward(dy)
+                continue
+            dy = layer.backward(dy, WORKER.submit, i > 0)
+            optimizer.update_later(params)
+    except BaseException:
+        WORKER.cancel()
+        raise
+
+
 def _train_network(net: Network, x: np.ndarray, y: np.ndarray, loss_fn,
                    epochs: int, cfg: TrainConfig, shuffle_seed: int
                    ) -> list[float]:
@@ -172,7 +194,7 @@ def _train_network(net: Network, x: np.ndarray, y: np.ndarray, loss_fn,
                 raise NonFiniteLossError(
                     f"training loss is {loss} at epoch {epoch + 1}/{epochs}, "
                     f"batch {batch + 1}; lower lr (now {cfg.lr})")
-            net.backward(dpred)
+            _backward(net, dpred, optimizer)
             optimizer.step()
             losses.append(loss)
         mean_loss = float(np.mean(losses))

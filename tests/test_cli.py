@@ -215,8 +215,9 @@ class TestExitCodes:
         ("times", 5, "times must be a base64 string"),
         ("times", "", "0 times but"),
         ("v", 1, "record schema version 1 is not the header's 2"),
+        ("v", 2.0, "record schema version 2.0 is not the header's 2"),
     ], ids=["non-base64", "padding", "7 bytes", "unequal", "number", "empty",
-            "record v1"])
+            "record v1", "record v2.0"])
     def test_v2_column_faults_are_data_errors(self, capsys, tmp_path, key,
                                               value, message):
         f = tmp_path / "bad.flows"

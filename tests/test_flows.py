@@ -575,6 +575,17 @@ class TestV2File:
             read_text(text)
         assert type(caught.value) is error and caught.value.line == 3
 
+    @pytest.mark.parametrize("version", ["2.0", "true", '"2"', "null"])
+    def test_record_version_is_the_integer_2(self, version):
+        """A record's version passes the header's rule: an int equal to 2."""
+        text = HEADER + "\n" + record(v=version) + "\n"
+        with pytest.raises(FlowVersionError,
+                           match=f"^line 2: record schema version "
+                                 f"{re.escape(repr(json.loads(version)))} "
+                                 "is not the header's 2$") as caught:
+            read_text(text)
+        assert caught.value.line == 2
+
     def test_v2_record_in_v1_file(self):
         """A version 1 file is refused at its header, before any record."""
         text = three_records(record()).replace('"v": 2', '"v": 1', 1)

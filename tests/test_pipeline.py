@@ -455,9 +455,9 @@ class TestTrainingPipeline:
                     rows.append(len(x))
                 return forward(layer, x, train)
 
-            def spy_backward(layer, dy):
+            def spy_backward(layer, dy, *args):
                 backward.append(layer)
-                return back(layer, dy)
+                return back(layer, dy, *args)
 
             monkeypatch.setattr(cls, "forward", spy_forward)
             monkeypatch.setattr(cls, "backward", spy_backward)
