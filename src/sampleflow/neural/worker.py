@@ -1,13 +1,16 @@
-"""The one background thread that a train step's parameter work runs on.
+"""The one background thread that gives training and inference a second core.
 
 A train step's critical path is the forward pass, the loss and the chain of
 input gradients down the layers. The parameter gradients of `Conv1d` and
 `Dense` and the Adam updates only feed parameters, so the step queues them
-here and goes on down the layers while they run. Each task is a whole numpy
-call of the serial step with the same operands, and tasks run one at a time
-in the order queued, so every result is bit-identical to the serial step's.
-numpy releases the GIL in its loops and BLAS calls, so the two threads use
-two cores even with BLAS pinned to one thread.
+here and goes on down the layers while they run. An inference pass queues
+every other batch's forward here. Each task is a whole numpy call of the
+serial code with the same operands, and tasks run one at a time in the order
+queued, so every result is bit-identical to the serial code's. numpy
+releases the GIL in its loops and BLAS calls, so the two threads use two
+cores even with BLAS pinned to one thread. A process that may run on one
+CPU only runs each task at once on the calling thread, since there two
+threads would only take turns.
 """
 
 from __future__ import annotations
@@ -23,6 +26,14 @@ class _Cancelled(Exception):
     pass
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 class Worker:
     """Runs queued calls in order on one daemon thread, started lazily.
 
@@ -31,7 +42,10 @@ class Worker:
     otherwise run under the defaults). The first exception a call raises,
     warnings made errors included, skips the calls queued after it and is
     raised again by wait(). Callers on several threads share the one
-    queue, and each wait() waits for all of it."""
+    queue, and each wait() waits for all of it. With fewer than two usable
+    CPUs, counted at start-up and again in a forked child, submit() runs
+    the call at once on the calling thread under the same rules, and no
+    thread is started."""
 
     def __init__(self):
         self._reset()
@@ -43,9 +57,13 @@ class Worker:
         self._error: BaseException | None = None
         self._thread: threading.Thread | None = None
         self._starting = threading.Lock()
+        self._cpus = _usable_cpus()
 
     def submit(self, fn, *args) -> None:
-        """Queue fn(*args)."""
+        """Queue fn(*args), or run it now when only one CPU is usable."""
+        if self._cpus < 2:
+            self._call(np.geterr(), np.geterrcall(), fn, args)
+            return
         if self._thread is None:
             with self._starting:
                 if self._thread is None:

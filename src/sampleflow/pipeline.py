@@ -170,6 +170,33 @@ def _backward(net: Network, dy: np.ndarray, optimizer: Adam) -> None:
         raise
 
 
+def _forward_batches(net: Network, x: np.ndarray, dtype) -> list[np.ndarray]:
+    """net.forward of each INFER_BATCH-row batch of x, cast to dtype, in
+    order; net must be in eval mode.
+
+    The calling thread forwards the even batches and the worker the odd
+    ones, under the caller's numpy error state. Each batch is one whole
+    forward of the same rows, and an eval-mode forward writes nothing a
+    batch reads, so every output is bit-identical to a serial loop's."""
+    starts = range(0, len(x), INFER_BATCH)
+    out: list = [None] * len(starts)
+
+    def forward(i):
+        lo = starts[i]
+        out[i] = net.forward(x[lo:lo + INFER_BATCH].astype(dtype, copy=False))
+
+    try:
+        for i in range(0, len(starts), 2):
+            if i + 1 < len(starts):
+                WORKER.submit(forward, i + 1)
+            forward(i)
+        WORKER.wait()
+    except BaseException:
+        WORKER.cancel()
+        raise
+    return out
+
+
 def _train_network(net: Network, x: np.ndarray, y: np.ndarray, loss_fn,
                    epochs: int, cfg: TrainConfig, shuffle_seed: int
                    ) -> list[float]:
@@ -238,8 +265,7 @@ def _train_classifier(labeled: list[Flow], classes: list[str],
         if cfg.freeze_trunk:
             # a fixed trunk: forward each copy through it once, train the head
             trunk = Network(net.trunk, net.trunk_len).eval()
-            x = np.concatenate([trunk.forward(x[lo:lo + INFER_BATCH])
-                                for lo in range(0, len(x), INFER_BATCH)])
+            x = np.concatenate(_forward_batches(trunk, x, np.float64))
             trained = Network(net.layers[net.trunk_len:], 0)
     history = _train_network(trained, x, y, cross_entropy_loss,
                              cfg.retrain_epochs, cfg,
@@ -279,10 +305,10 @@ def _predict_batched(net: Network, x: np.ndarray) -> np.ndarray:
     the fold too), give inf or NaN outputs, which are refused rather than
     turned into predictions."""
     net = net.fold_batch_norm()
+    with np.errstate(over="ignore", invalid="ignore"):
+        batches = _forward_batches(net, x, np.float32)
     out = []
-    for lo in range(0, x.shape[0], INFER_BATCH):
-        with np.errstate(over="ignore", invalid="ignore"):
-            logits = net.forward(x[lo:lo + INFER_BATCH].astype(np.float32))
+    for lo, logits in zip(range(0, x.shape[0], INFER_BATCH), batches):
         if not np.isfinite(logits).all():
             raise NonFiniteOutputError(
                 f"network output is not finite for sampled copies "

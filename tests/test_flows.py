@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import io
 import json
+import math
 import re
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sampleflow.flows import (FiveTuple, Flow, FlowFormatError,
-                              FlowVersionError, filter_short_flows,
-                              read_flows, write_flows)
+                              FlowVersionError, _check_packets,
+                              filter_short_flows, read_flows, write_flows)
 from sampleflow.synth import generate
 
 
@@ -269,6 +270,52 @@ class TestFlowColumns:
         flow = Flow(id="f", five_tuple=make_flow().five_tuple, times=times,
                     signed=signed)
         assert flow.times is times and flow.signed is signed
+
+
+def packet_rules(times, lengths):
+    """The message of the first packet rule the columns break, in the order
+    _check_packets checks them, or None."""
+    if len(times) == 0:
+        return "flow has no packets"
+    if not all(math.isfinite(t) for t in times):
+        return "non-finite rel_time"
+    if any(t < 0 for t in times):
+        return f"negative rel_time {min(times)}"
+    if any(b < a for a, b in zip(times, times[1:])):
+        return "rel_time decreases"
+    for n in lengths:
+        if not -2 ** 53 < n < 2 ** 53:
+            return ("packet length must be an integer below 2**53 in size, "
+                    f"got {n}")
+    if 0 in lengths:
+        return "zero packet length"
+    return None
+
+
+_TIMES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1e300, -1e-300, -1.0,
+                          math.inf, -math.inf, math.nan])
+_LENGTHS = st.sampled_from([1, -1, 1500, -1500, 0, 2 ** 53 - 1, -2 ** 53 + 1,
+                            2 ** 53, -2 ** 53, 2 ** 63 - 1, -2 ** 63])
+
+
+class TestPacketCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_TIMES, _LENGTHS), max_size=6))
+    def test_accepts_and_refuses_as_the_ordered_rules(self, packets):
+        # the one-pass check of valid columns accepts exactly what the
+        # ordered rules accept, and an error names the first rule broken
+        times = np.array(sorted(t for t, _ in packets)
+                         if len(packets) % 2 else [t for t, _ in packets],
+                         dtype=np.float64)
+        lengths = np.array([n for _, n in packets], dtype=np.int64)
+        want = packet_rules(times.tolist(), lengths.tolist())
+        try:
+            _check_packets(times, lengths, 4)
+            got = None
+        except FlowFormatError as exc:
+            assert exc.line == 4
+            got = str(exc).removeprefix("line 4: ")
+        assert got == want
 
 
 # number text, as JSON reads it or refuses it

@@ -2,7 +2,9 @@
 
 `pipeline._train_network` runs each layer's parameter gradients and Adam
 update on the worker thread. The reference here is the serial schedule,
-`Network.backward` then `Adam.step`, written out on the test side.
+`Network.backward` then `Adam.step`, written out on the test side. The
+worker runs its tasks on the calling thread where only one CPU is usable,
+so the tests of the threaded path set a CPU count of 2 (`two_cpus`).
 """
 
 import gc
@@ -21,6 +23,7 @@ from sampleflow import pipeline
 from sampleflow.neural import (Adam, BatchNorm1d, Conv1d, Dense, Network,
                                Param, build_classifier, build_regressor,
                                cross_entropy_loss, init_params, mse_loss)
+from sampleflow.neural import worker
 from sampleflow.neural.network import flatten_width
 from sampleflow.neural.worker import WORKER
 from sampleflow.pipeline import NonFiniteLossError, TrainConfig
@@ -109,6 +112,13 @@ def assert_idle():
     assert WORKER._tasks.unfinished_tasks == 0 and WORKER._error is None
 
 
+def two_cpus(monkeypatch):
+    """Count two usable CPUs, here and in a forked child, so that the worker
+    runs its tasks on its thread whatever CPUs the test may use."""
+    monkeypatch.setattr(worker, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(WORKER, "_cpus", 2)
+
+
 # (rows, batch size, epochs): each has a last batch of 1 row, which is
 # skipped, and makes at least 20 steps
 BATCHES = [(41, 2, 1), (50, 7, 3), (129, 128, 20)]
@@ -132,6 +142,7 @@ def test_bit_identical_to_serial_schedule(monkeypatch, make, rows, batch,
 
 
 def test_parameter_work_runs_on_the_worker(monkeypatch):
+    two_cpus(monkeypatch)
     threads = {}
 
     def spy(cls, name):
@@ -207,6 +218,7 @@ class InjectedFault(Exception):
 
 @pytest.mark.parametrize("where", ["worker", "caller"])
 def test_fault_surfaces_and_leaves_nothing_queued(monkeypatch, where):
+    two_cpus(monkeypatch)
     x, y, loss_fn = data(classifier, 41, seed=4)
     cfg = config(8)
     fresh = classifier()
@@ -328,19 +340,16 @@ def test_bit_identical_under_fast_thread_switching(monkeypatch):
     assert_idle()
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_trains_with_its_own_worker():
-    x, y, loss_fn = data(head, 16, seed=8)
-    pipeline._train_network(head(), x, y, loss_fn, 1, config(8), 5)
-    assert WORKER._thread is not None and WORKER._thread.is_alive()
+def forked(child) -> int:
+    """The exit code of a forked child that runs child() and exits 0 if it
+    returns true."""
     with warnings.catch_warnings():  # fork() of a process with threads
         warnings.simplefilter("ignore", DeprecationWarning)
         pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            pipeline._train_network(head(), x, y, loss_fn, 1, config(8), 5)
-            code = 0
+            code = 0 if child() else 3
         finally:
             os._exit(code)
     deadline = time.monotonic() + 60
@@ -352,5 +361,74 @@ def test_forked_child_trains_with_its_own_worker():
     else:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-        pytest.fail("the forked child did not finish training")
-    assert os.waitstatus_to_exitcode(status) == 0
+        pytest.fail("the forked child did not finish")
+    return os.waitstatus_to_exitcode(status)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_trains_with_its_own_worker(monkeypatch):
+    two_cpus(monkeypatch)
+    x, y, loss_fn = data(head, 16, seed=8)
+    pipeline._train_network(head(), x, y, loss_fn, 1, config(8), 5)
+    assert WORKER._thread is not None and WORKER._thread.is_alive()
+
+    def child():
+        pipeline._train_network(head(), x, y, loss_fn, 1, config(8), 5)
+        return WORKER._thread is not None and WORKER._thread.is_alive()
+    assert forked(child) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_counts_its_cpus_again(monkeypatch):
+    # the parent runs on its thread; a child that may use one CPU runs
+    # every task inline and starts no thread
+    two_cpus(monkeypatch)
+    x, y, loss_fn = data(head, 16, seed=8)
+    pipeline._train_network(head(), x, y, loss_fn, 1, config(8), 5)
+    assert WORKER._thread is not None
+    monkeypatch.setattr(worker, "_usable_cpus", lambda: 1)
+
+    def child():
+        pipeline._train_network(head(), x, y, loss_fn, 1, config(8), 5)
+        return WORKER._cpus == 1 and WORKER._thread is None
+    assert forked(child) == 0
+
+
+def test_one_cpu_runs_tasks_inline_under_the_same_rules(monkeypatch):
+    monkeypatch.setattr(WORKER, "_cpus", 1)
+    ran = []
+
+    def record(tag):
+        ran.append((tag, threading.get_ident(), np.geterr()["over"]))
+
+    def fail():
+        raise InjectedFault("inline")
+
+    with np.errstate(over="raise"):
+        WORKER.submit(record, "first")
+    assert ran == [("first", threading.get_ident(), "raise")]
+    WORKER.submit(fail)
+    WORKER.submit(record, "skipped")
+    with pytest.raises(InjectedFault, match="inline"):
+        WORKER.wait()
+    assert len(ran) == 1
+    assert_idle()
+    WORKER.submit(record, "after")
+    WORKER.wait()
+    assert [tag for tag, *_ in ran] == ["first", "after"]
+
+
+@pytest.mark.parametrize("affinity, cpu_count, want", [
+    ({0}, 8, 1), ({0, 1}, 1, 2), (None, 1, 1), (None, None, 1),
+    (None, 4, 4)], ids=["affinity 1", "affinity 2", "count 1", "count None",
+                        "count 4"])
+def test_usable_cpus(monkeypatch, affinity, cpu_count, want):
+    # the CPUs the process may run on; os.cpu_count() where the platform
+    # has no sched_getaffinity
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity,
+                            raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert worker._usable_cpus() == want

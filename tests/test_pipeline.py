@@ -1,5 +1,7 @@
 import hashlib
 import json
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +12,15 @@ from sampleflow import pipeline
 from sampleflow.features import (FEATURE_ORDER_VERSION, normalize_targets,
                                  stat_features)
 from sampleflow.flows import FiveTuple, Flow
-from sampleflow.neural import (Network, build_regressor, init_params,
+from sampleflow.neural import (Adam, BatchNorm1d, Conv1d, Dense, Network,
+                               build_classifier, build_regressor, init_params,
                                load_checkpoint, mse_loss, save_checkpoint,
                                transfer_trunk)
+from sampleflow.neural.worker import WORKER
 from sampleflow.pipeline import (INFER_BATCH, ConfigError, CoverageError,
                                  EmptyDatasetError, KnnClassifier, LabelError,
-                                 NonFiniteLossError, TrainConfig,
+                                 NonFiniteLossError, NonFiniteOutputError,
+                                 TrainConfig, _forward_batches,
                                  _predict_batched, _train_network,
                                  build_classification_dataset,
                                  build_regression_dataset,
@@ -26,6 +31,7 @@ from sampleflow.pipeline import (INFER_BATCH, ConfigError, CoverageError,
 from sampleflow.sampling import Fixed, Random, SampleSizeError
 from sampleflow.synth import generate
 from tests.test_neural import network_arrays, trunk_bytes
+from tests.test_overlap import InjectedFault, assert_idle, two_cpus
 
 
 def make_flow(fid, n=60, label="a", seed=0):
@@ -554,7 +560,8 @@ class TestTrainingPipeline:
     def test_predict_batched_matches_one_shot(self, corpus, monkeypatch,
                                               rows):
         # INFER_BATCH rows a forward, the last batch shorter; the classes
-        # are those of one float32 forward over every row
+        # are those of one float32 forward over every row. Two threads
+        # share the batches, so the forwards may start in any order.
         cfg = tiny_config(copies=40, window=12)
         classes = self.classes(corpus)
         labeled, test = split_per_class(corpus, 3, seed=2)
@@ -573,7 +580,8 @@ class TestTrainingPipeline:
         np.testing.assert_array_equal(_predict_batched(net, x),
                                       want.argmax(axis=1))
         full, rest = divmod(rows, INFER_BATCH)
-        assert batches == [INFER_BATCH] * full + [rest] * (rest > 0)
+        assert sorted(batches, reverse=True) \
+            == [INFER_BATCH] * full + [rest] * (rest > 0)
 
     def test_evaluate_leaves_network_unchanged(self, corpus, tmp_path):
         # evaluate forwards a folded copy; the network it was given, and a
@@ -618,6 +626,183 @@ class TestTrainingPipeline:
         assert len(stats) == len(corpus)
         assert all(v.shape == (24,) for v, _ in stats)
         assert {lab for _, lab in stats} == set(self.classes(corpus))
+
+
+def folded_classifier(window=12, seed=4):
+    """An eval-mode classifier with running statistics away from 0 and 1,
+    and its batch-norm-folded copy."""
+    net = init_params(build_classifier(window, 3), seed)
+    rng = np.random.default_rng(seed)
+    for layer in net.layers:
+        if isinstance(layer, BatchNorm1d):
+            layer.running_mean = rng.standard_normal(layer.channels)
+            layer.running_var = rng.uniform(0.5, 2.0, layer.channels)
+    return net.eval(), net.fold_batch_norm()
+
+
+def serial_batches(net, x, dtype):
+    """The one-thread loop _forward_batches replaces."""
+    return [net.forward(x[lo:lo + INFER_BATCH].astype(dtype))
+            for lo in range(0, len(x), INFER_BATCH)]
+
+
+class TestTwoCoreForward:
+    """Inference forwards the even batches on the calling thread and the
+    odd ones on the worker; each output is the serial loop's, bit for bit."""
+
+    ROWS = [1, 127, 128, 129, 257, 4000]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_predictions_bit_equal(self, monkeypatch, rows, cpus):
+        monkeypatch.setattr(WORKER, "_cpus", cpus)
+        net, folded = folded_classifier()
+        x = np.random.default_rng(rows).standard_normal((rows, 2, 12))
+        want = serial_batches(folded, x, np.float32)
+        got = _forward_batches(folded, x, np.float32)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        np.testing.assert_array_equal(
+            _predict_batched(net, x), np.concatenate(want).argmax(axis=1))
+        # one forward over every row gives the same classes (its logits
+        # may differ in the last bits: BLAS picks a kernel by the shape)
+        np.testing.assert_array_equal(
+            _predict_batched(net, x),
+            folded.forward(x.astype(np.float32)).argmax(axis=1))
+        assert_idle()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_frozen_trunk_features_bit_equal(self, monkeypatch, rows, cpus):
+        monkeypatch.setattr(WORKER, "_cpus", cpus)
+        net, _ = folded_classifier()
+        trunk = Network(net.trunk, net.trunk_len).eval()
+        x = np.random.default_rng(rows).standard_normal((rows, 2, 12))
+        got = _forward_batches(trunk, x, np.float64)
+        want = serial_batches(trunk, x, np.float64)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        np.testing.assert_allclose(np.concatenate(got), trunk.forward(x),
+                                   rtol=1e-12, atol=1e-12)
+        assert_idle()
+
+    def test_odd_batches_run_on_the_worker(self, monkeypatch):
+        two_cpus(monkeypatch)
+        _, folded = folded_classifier()
+        x = np.random.default_rng(5).standard_normal((5 * INFER_BATCH, 2, 12))
+        on_caller = {}
+        forward = Network.forward
+
+        def spy(self, x):
+            on_caller[float(x[0, 0, 0])] = threading.get_ident() == caller
+            return forward(self, x)
+
+        caller = threading.get_ident()
+        monkeypatch.setattr(Network, "forward", spy)
+        _forward_batches(folded, x, np.float64)
+        firsts = [float(x[lo, 0, 0]) for lo in range(0, len(x), INFER_BATCH)]
+        assert [on_caller[f] for f in firsts] == [True, False] * 2 + [True]
+
+    @pytest.mark.parametrize("bad, named", [
+        ([1], "128..255"), ([2], "256..383"), ([1, 2], "128..255"),
+        ([4], "512..516")], ids=["worker batch", "caller batch",
+                                 "both, worker first", "last batch"])
+    def test_non_finite_output_names_copy_range(self, monkeypatch, bad,
+                                                named):
+        two_cpus(monkeypatch)
+        net, _ = folded_classifier()
+        x = np.random.default_rng(6).standard_normal(
+            (4 * INFER_BATCH + 5, 2, 12))
+        for b in bad:  # inf once cast to float32
+            x[b * INFER_BATCH + 3, 1, 4] = 1e300
+        with pytest.raises(NonFiniteOutputError,
+                           match=f"sampled copies {named}: "):
+            _predict_batched(net, x)
+        assert_idle()
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_fault_reaches_caller_and_train_step_still_works(
+            self, monkeypatch, where):
+        two_cpus(monkeypatch)
+        _, folded = folded_classifier()
+        x = np.random.default_rng(7).standard_normal((6 * INFER_BATCH, 2, 12))
+        rng = np.random.default_rng(8)
+        tx, ty = rng.standard_normal((24, 2, 12)), rng.standard_normal((24, 24))
+
+        def train():
+            net = init_params(build_regressor(12), 0)
+            _train_network(net, tx, ty, mse_loss, 1,
+                           tiny_config(window=12, batch_size=8), 0)
+            return [p.value.tobytes() for p in net.params()]
+
+        before = train()
+        caller = threading.get_ident()
+        raised_on = []
+        forward = Network.forward
+
+        def faulty(self, x):
+            on_caller = threading.get_ident() == caller
+            if on_caller == (where == "caller") and not raised_on:
+                raised_on.append(on_caller)
+                raise InjectedFault(where)
+            return forward(self, x)
+
+        with monkeypatch.context() as m:
+            m.setattr(Network, "forward", faulty)
+            with pytest.raises(InjectedFault, match=where):
+                _forward_batches(folded, x, np.float32)
+        assert raised_on == [where == "caller"]
+        assert_idle()
+        assert train() == before
+        got = _forward_batches(folded, x, np.float32)
+        assert [a.tobytes() for a in got] \
+            == [a.tobytes() for a in serial_batches(folded, x, np.float32)]
+
+    def test_one_cpu_runs_everything_on_the_caller(self, corpus, monkeypatch,
+                                                   tmp_path):
+        # with one usable CPU no task reaches the worker thread, and every
+        # checkpoint and report is byte for byte the two-thread one
+        classes = sorted({f.label for f in corpus})
+        labeled, test = split_per_class(corpus, 3, seed=1)
+        threads = set()
+
+        def spy(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(self, *args):
+                threads.add(threading.get_ident())
+                return original(self, *args)
+            monkeypatch.setattr(cls, name, wrapper)
+
+        for cls, name in ((Network, "forward"), (Conv1d, "_add_grads"),
+                          (Dense, "_add_grads"), (Adam, "_update")):
+            spy(cls, name)
+
+        def run(cpus):
+            monkeypatch.setattr(WORKER, "_cpus", cpus)
+            threads.clear()
+            out = tmp_path / str(cpus)
+            out.mkdir()
+            cfg = tiny_config(copies=20, window=12)
+            pre, _ = pretrain(corpus, cfg)
+            nets = {"pre": pre,
+                    "transfer": retrain(pre, labeled, classes, cfg)[0],
+                    "frozen": retrain(pre, labeled, classes,
+                                      replace(cfg, freeze_trunk=True))[0],
+                    "baseline": train_supervised_baseline(
+                        labeled, classes, cfg)[0]}
+            files = {}
+            for name, net in nets.items():
+                save_checkpoint(net, out / name)
+                files[name] = (out / name).read_bytes()
+                if name != "pre":
+                    files[name + " report"] = json.dumps(
+                        evaluate(net, test, classes, cfg).to_dict())
+            return files, set(threads)
+
+        one, one_threads = run(1)
+        two, two_threads = run(2)
+        assert one_threads == {threading.get_ident()}
+        assert len(two_threads) == 2
+        assert one == two
 
 
 class TestTrainConfig:
