@@ -46,8 +46,15 @@ class ConfigError(DataError):
     """A training config with a missing, unknown or ill-typed field."""
 
 
+class DatasetSizeError(DataError):
+    """A dataset of sampled copies whose input array cannot be allocated."""
+
+
 # rows an inference forward takes at a time: small enough that conv L3's
-# im2col matrix stays near one core's L2 cache
+# im2col matrix stays near one core's L2 cache. BLAS rounds a row's output
+# differently in products of different sizes, so changing it changes
+# --freeze-trunk checkpoint bytes and can flip an evaluate prediction at a
+# tie.
 INFER_BATCH = 128
 
 _LEAST = {"seed": 0, "window": 1, "copies": 1, "pretrain_epochs": 1,
@@ -108,45 +115,56 @@ class TrainConfig:
         return cls(**{**d, "sampling": sampling})
 
 
-def _sampled_inputs(flow: Flow, cfg: TrainConfig) -> np.ndarray:
-    """Network inputs of the flow's sampled copies, seeded per flow."""
-    rng = derive_rng(cfg.seed, flow.id)
-    return input_matrix(flow, augment(flow, cfg.sampling, cfg.window,
-                                      cfg.copies, rng))
+def _sampled_copies(flows: list[Flow], cfg: TrainConfig
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Network inputs of every flow's sampled copies, seeded per flow, in
+    one float64[copies, 2, window] array, and the position in flows of each
+    copy's flow (int64), which tells apart flows that share an id.
+
+    The flows are sampled first and the inputs filled in after, so no input
+    is held twice; only the index matrices are held alongside."""
+    if not flows:
+        raise EmptyDatasetError("no sampled copies could be built")
+    rows = [augment(flow, cfg.sampling, cfg.window, cfg.copies,
+                    derive_rng(cfg.seed, flow.id)) for flow in flows]
+    counts = np.array([len(r) for r in rows], dtype=np.int64)
+    ends = np.cumsum(counts)
+    copies = int(ends[-1])
+    try:
+        x = np.empty((copies, 2, cfg.window))
+    except MemoryError as exc:
+        gib = copies * 2 * cfg.window * 8 / 2**30
+        raise DatasetSizeError(
+            f"{copies} sampled copies of window {cfg.window} need "
+            f"{gib:.1f} GiB of network inputs, more than can be "
+            "allocated") from exc
+    for flow, idx, end in zip(flows, rows, ends.tolist()):
+        x[end - len(idx):end] = input_matrix(flow, idx)
+    return x, np.repeat(np.arange(len(flows), dtype=np.int64), counts)
 
 
 def build_regression_dataset(flows: list[Flow], cfg: TrainConfig
                              ) -> tuple[np.ndarray, np.ndarray]:
     """(input matrix, normalized stat-vector target) pairs over sampled copies."""
-    xs, ys = [], []
-    for flow in flows:
-        target = normalize_targets(stat_features(flow))
-        x = _sampled_inputs(flow, cfg)
-        xs.append(x)
-        ys.append(np.broadcast_to(target, (len(x), len(target))))
-    if not xs:
-        raise EmptyDatasetError("no sampled copies could be built")
-    return np.concatenate(xs), np.concatenate(ys)
+    x, flow_of = _sampled_copies(flows, cfg)
+    targets = np.stack([normalize_targets(stat_features(flow))
+                        for flow in flows])
+    return x, targets[flow_of]
 
 
 def build_classification_dataset(flows: list[Flow], classes: list[str],
                                  cfg: TrainConfig
                                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sampled copies with inherited labels; also returns each copy's flow
-    position in flows (int64), which tells apart flows that share an id."""
+    position in flows (int64), which tells apart flows that share an id.
+    Every label is checked before any flow is sampled."""
     class_index = {c: i for i, c in enumerate(classes)}
-    xs, ys = [], []
     for flow in flows:
         if flow.label not in class_index:
             raise LabelError(f"flow {flow.id} has unknown label {flow.label!r}")
-        x = _sampled_inputs(flow, cfg)
-        xs.append(x)
-        ys.append(np.full(len(x), class_index[flow.label]))
-    if not xs:
-        raise EmptyDatasetError("no sampled copies could be built")
-    flow_of = np.repeat(np.arange(len(xs), dtype=np.int64),
-                        [len(x) for x in xs])
-    return np.concatenate(xs), np.concatenate(ys), flow_of
+    codes = np.array([class_index[flow.label] for flow in flows])
+    x, flow_of = _sampled_copies(flows, cfg)
+    return x, codes[flow_of], flow_of
 
 
 def _backward(net: Network, dy: np.ndarray, optimizer: Adam) -> None:

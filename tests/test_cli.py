@@ -98,7 +98,7 @@ class TestExitCodes:
                     pipeline.EmptyDatasetError, pipeline.LabelError,
                     pipeline.CoverageError, pipeline.NonFiniteLossError,
                     pipeline.NonFiniteOutputError, pipeline.ConfigError,
-                    CheckpointError, ShapeError):
+                    pipeline.DatasetSizeError, CheckpointError, ShapeError):
             assert issubclass(cls, DataError), cls
         assert not issubclass(DegenerateBatchError, DataError)
 
@@ -551,6 +551,25 @@ class TestPipelineRoundTrip:
                            "--out", str(out))
         assert code == 2
         assert "not a UTF-8" in err
+        assert not out.exists()
+
+    def test_unallocatable_dataset_is_data_error(self, capsys, workspace,
+                                                 tmp_path, monkeypatch):
+        _, flows_path, cfg_path = workspace
+
+        def huge(flow, spec, window, copies, rng):
+            return np.broadcast_to(np.arange(window), (2 ** 40, window))
+
+        monkeypatch.setattr(pipeline, "augment", huge)
+        cfg_file = tmp_path / "w45.json"
+        cfg_file.write_text(json.dumps({**json.loads(cfg_path.read_text()),
+                                        "window": 45}))
+        out = tmp_path / "huge.ckpt"
+        code, _, err = run(capsys, "pretrain", "--flows", str(flows_path),
+                           "--config", str(cfg_file), "--out", str(out))
+        assert code == 2
+        assert "GiB of network inputs" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_internal_value_error_is_not_a_data_error(self, workspace,

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sampleflow import pipeline
-from sampleflow.features import (FEATURE_ORDER_VERSION, normalize_targets,
-                                 stat_features)
+from sampleflow.features import (FEATURE_ORDER_VERSION, input_matrix,
+                                 normalize_targets, stat_features)
 from sampleflow.flows import FiveTuple, Flow
 from sampleflow.neural import (Adam, BatchNorm1d, Conv1d, Dense, Network,
                                build_classifier, build_regressor, init_params,
@@ -18,17 +19,20 @@ from sampleflow.neural import (Adam, BatchNorm1d, Conv1d, Dense, Network,
                                transfer_trunk)
 from sampleflow.neural.worker import WORKER
 from sampleflow.pipeline import (INFER_BATCH, ConfigError, CoverageError,
-                                 EmptyDatasetError, KnnClassifier, LabelError,
+                                 DatasetSizeError, EmptyDatasetError,
+                                 KnnClassifier, LabelError,
                                  NonFiniteLossError, NonFiniteOutputError,
                                  TrainConfig, _forward_batches,
-                                 _predict_batched, _train_network,
+                                 _predict_batched, _sampled_copies,
+                                 _train_network,
                                  build_classification_dataset,
                                  build_regression_dataset,
                                  confusion_matrix, confusion_metrics,
                                  evaluate, flow_stat_vectors, knn_baseline,
                                  pretrain, retrain, split_per_class,
                                  train_supervised_baseline)
-from sampleflow.sampling import Fixed, Random, SampleSizeError
+from sampleflow.sampling import (Fixed, Incremental, Random,
+                                 SampleSizeError, augment, derive_rng)
 from sampleflow.synth import generate
 from tests.test_neural import network_arrays, trunk_bytes
 from tests.test_overlap import InjectedFault, assert_idle, two_cpus
@@ -376,6 +380,76 @@ class TestDatasets:
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyDatasetError):
             build_regression_dataset([], tiny_config())
+
+    def test_labels_checked_before_sampling(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a flow was sampled")
+
+        monkeypatch.setattr(pipeline, "augment", never)
+        flows = [make_flow("l0", label="a", seed=1),
+                 make_flow("l1", label="zz", seed=2)]
+        with pytest.raises(LabelError, match="l1"):
+            build_classification_dataset(flows, ["a"], tiny_config())
+
+    def test_unallocatable_dataset_is_named(self, monkeypatch):
+        # 2**40 copies of window 45 ask for 720 TiB of inputs
+        def huge(flow, spec, window, copies, rng):
+            return np.broadcast_to(np.arange(window), (2 ** 40, window))
+
+        monkeypatch.setattr(pipeline, "augment", huge)
+        cfg = tiny_config(window=45)
+        with pytest.raises(DatasetSizeError,
+                           match=r"1099511627776 sampled copies of window 45 "
+                                 r"need 737280\.0 GiB"):
+            build_regression_dataset([make_flow("big")], cfg)
+
+
+def concatenated_build(flows, cfg):
+    """The per-flow list-and-concatenate build that _sampled_copies
+    replaced: the reference its inputs and flow positions must equal."""
+    xs = [input_matrix(f, augment(f, cfg.sampling, cfg.window, cfg.copies,
+                                  derive_rng(cfg.seed, f.id)))
+          for f in flows]
+    return (np.concatenate(xs),
+            np.repeat(np.arange(len(xs), dtype=np.int64),
+                      [len(x) for x in xs]))
+
+
+class TestSampledCopies:
+    @pytest.mark.parametrize("sampling", [
+        Fixed(2), Random(0.3), Incremental(2, 1.2, 3)],
+        ids=["fixed", "random", "incremental"])
+    def test_bit_equal_to_concatenated_build(self, sampling):
+        flows = [make_flow("s0", n=70, seed=1),
+                 make_flow("short", n=4, seed=2),  # shorter than a window
+                 make_flow("s2", n=90, seed=3),
+                 make_flow("s0", n=50, seed=4)]  # shares the first's id
+        cfg = tiny_config(sampling=sampling, copies=6)
+        x, flow_of = _sampled_copies(flows, cfg)
+        want_x, want_flow_of = concatenated_build(flows, cfg)
+        assert x.dtype == np.float64 and flow_of.dtype == np.int64
+        assert x.shape == want_x.shape
+        assert x.tobytes() == want_x.tobytes()
+        assert flow_of.tobytes() == want_flow_of.tobytes()
+        assert set(flow_of.tolist()) == {0, 1, 2, 3}
+        if not isinstance(sampling, Random):
+            assert (flow_of == 1).sum() == 1  # one partial copy
+
+    def test_peak_memory_near_returned_bytes(self):
+        # the build holds its inputs once, not once in a list and once
+        # concatenated (about 1.8x the returned bytes at window 45)
+        flows = [make_flow(f"m{i}", n=100, seed=i) for i in range(150)]
+        cfg = tiny_config(window=45, copies=20)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            x, y = build_regression_dataset(flows, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(x) == 150 * 20
+        assert peak <= 1.5 * (x.nbytes + y.nbytes)
 
 
 def param_checksum(net):
