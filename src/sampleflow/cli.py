@@ -17,6 +17,7 @@ from . import (DataError, __version__, features, flows, ingest, manifest,
 from .manifest import write_manifest
 from .neural import gradcheck as gc
 from .neural import CheckpointError, load_checkpoint, save_checkpoint
+from .neural.worker import WORKER
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,15 +96,16 @@ def _load_config(args, fallback: dict | None = None) -> pipeline.TrainConfig:
 
 def cmd_ingest(args) -> int:
     started = time.time()
-    pcap_path = Path(args.pcap)
+    inputs = manifest.Inputs()
     stats = ingest.DecodeStats()
-    result = ingest.ingest_pcap(pcap_path.read_bytes(),
+    result = ingest.ingest_pcap(inputs.read_bytes(args.pcap),
                                 idle_timeout=args.timeout,
                                 min_packets=args.min_packets, stats=stats)
+    digests = inputs.digests()
     flows.write_flows(result, args.out)
     write_manifest(args.out, "ingest",
                    {"timeout": args.timeout, "min_packets": args.min_packets},
-                   None, [pcap_path], started)
+                   None, digests, started)
     print(f"decoded {stats.decoded} packets "
           f"(skipped {dict(stats.skipped)}), wrote {len(result)} flows")
     return EXIT_OK
@@ -118,7 +120,7 @@ def cmd_synth(args) -> int:
                    {"classes": args.classes,
                     "flows_per_class": args.flows_per_class,
                     "difficulty": args.difficulty},
-                   args.seed, [], started)
+                   args.seed, {}, started)
     print(f"wrote {len(result)} flows")
     return EXIT_OK
 
@@ -126,7 +128,9 @@ def cmd_synth(args) -> int:
 def cmd_stats(args) -> int:
     started = time.time()
     in_path = Path(args.flows)
+    inputs = manifest.Inputs(in_path)
     flow_list = flows.read_flows(in_path)
+    digests = inputs.digests()
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["flow_id", "label", *features.FEATURE_NAMES])
@@ -134,7 +138,7 @@ def cmd_stats(args) -> int:
             vec = features.stat_features(f)
             writer.writerow([f.id, f.label if f.label is not None else "",
                              *vec.tolist()])
-    write_manifest(args.out, "stats", {}, None, [in_path], started)
+    write_manifest(args.out, "stats", {}, None, digests, started)
     print(f"wrote statistics for {len(flow_list)} flows")
     return EXIT_OK
 
@@ -142,16 +146,18 @@ def cmd_stats(args) -> int:
 def cmd_sample(args) -> int:
     started = time.time()
     in_path = Path(args.flows)
+    inputs = manifest.Inputs(in_path)
     spec = _parse_sampling(args.method, args.params)
     flow_list = flows.read_flows(in_path)
     samples = [(f, sampling.augment(f, spec, args.window, args.copies,
                                     sampling.derive_rng(args.seed, f.id)))
                for f in flow_list]
+    digests = inputs.digests()
     sampling.write_sampled(samples, args.out)
     write_manifest(args.out, "sample",
                    {"sampling": sampling.spec_to_dict(spec),
                     "window": args.window, "copies": args.copies},
-                   args.seed, [in_path], started)
+                   args.seed, digests, started)
     print(f"wrote {sum(len(idx) for _, idx in samples)} sampled copies "
           f"from {len(flow_list)} flows")
     return EXIT_OK
@@ -160,12 +166,14 @@ def cmd_sample(args) -> int:
 def cmd_pretrain(args) -> int:
     started = time.time()
     in_path = Path(args.flows)
+    inputs = manifest.Inputs(in_path)
     cfg = _load_config(args)
     flow_list = flows.read_flows(in_path)
     net, history = pipeline.pretrain(flow_list, cfg)
+    digests = inputs.digests()
     save_checkpoint(net, args.out)
-    write_manifest(args.out, "pretrain", cfg.to_dict(), cfg.seed,
-                   [in_path], started)
+    write_manifest(args.out, "pretrain", cfg.to_dict(), cfg.seed, digests,
+                   started)
     print(f"pretrained on {len(flow_list)} flows, "
           f"final epoch loss {history[-1]:.6f}")
     return EXIT_OK
@@ -175,6 +183,7 @@ def cmd_retrain(args) -> int:
     started = time.time()
     model_path = Path(args.model)
     in_path = Path(args.flows)
+    inputs = manifest.Inputs(model_path, in_path)
     pretrained, meta = load_checkpoint(model_path)
     cfg = _load_config(args, fallback=meta.get("train_config"))
     classes = args.classes.split(",")
@@ -184,9 +193,10 @@ def cmd_retrain(args) -> int:
                                                           cfg)
     else:
         net, history = pipeline.retrain(pretrained, flow_list, classes, cfg)
+    digests = inputs.digests()
     save_checkpoint(net, args.out)
-    write_manifest(args.out, "retrain", cfg.to_dict(), cfg.seed,
-                   [model_path, in_path], started)
+    write_manifest(args.out, "retrain", cfg.to_dict(), cfg.seed, digests,
+                   started)
     print(f"trained classifier over classes {classes}, "
           f"final epoch loss {history[-1]:.6f}")
     return EXIT_OK
@@ -196,6 +206,7 @@ def cmd_evaluate(args) -> int:
     started = time.time()
     model_path = Path(args.model)
     in_path = Path(args.flows)
+    inputs = manifest.Inputs(model_path, in_path)
     model, meta = load_checkpoint(model_path)
     if meta["kind"] != "classifier" or "train_config" not in meta \
             or meta.get("classes") is None:
@@ -204,17 +215,18 @@ def cmd_evaluate(args) -> int:
     classes = meta["classes"]
     flow_list = flows.read_flows(in_path)
     report = pipeline.evaluate(model, flow_list, classes, cfg)
+    digests = inputs.digests()
     payload = report.to_dict()
     payload["manifest"] = {
         "seed": cfg.seed,
         "config": cfg.to_dict(),
         "model": str(model_path),
-        "inputs": {str(in_path): manifest.sha256_file(in_path)},
+        "inputs": {str(in_path): digests[str(in_path)]},
     }
     Path(args.report).write_text(json.dumps(payload, indent=2) + "\n",
                                  encoding="utf-8")
-    write_manifest(args.report, "evaluate", cfg.to_dict(), cfg.seed,
-                   [model_path, in_path], started)
+    write_manifest(args.report, "evaluate", cfg.to_dict(), cfg.seed, digests,
+                   started)
     print(f"macro accuracy {report.macro_accuracy:.4f} over "
           f"{report.n_sampled} sampled copies / {report.n_flows} flows")
     return EXIT_OK
@@ -355,6 +367,10 @@ def main(argv: list[str] | None = None) -> int:
     except DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        # a command that failed may have left input hashes queued, or a
+        # hash's error pending, on the worker; the next one starts clean
+        WORKER.cancel()
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""The one background thread that gives training and inference a second core.
+"""The one background thread that gives training, inference and input
+hashing a second core.
 
 A train step's critical path is the forward pass, the loss and the chain of
 input gradients down the layers. The parameter gradients of `Conv1d` and
@@ -6,11 +7,13 @@ input gradients down the layers. The parameter gradients of `Conv1d` and
 here and goes on down the layers while they run. An inference pass queues
 every other batch's forward here. Each task is a whole numpy call of the
 serial code with the same operands, and tasks run one at a time in the order
-queued, so every result is bit-identical to the serial code's. numpy
-releases the GIL in its loops and BLAS calls, so the two threads use two
-cores even with BLAS pinned to one thread. A process that may run on one
-CPU only runs each task at once on the calling thread, since there two
-threads would only take turns.
+queued, so every result is bit-identical to the serial code's. A command
+also queues the sha256 of each of its inputs here as it starts
+(`manifest.Inputs`), so an input is hashed while the command parses it.
+numpy releases the GIL in its loops and BLAS calls, and hashlib while it
+hashes, so the two threads use two cores even with BLAS pinned to one
+thread. A process that may run on one CPU only runs each task at once on
+the calling thread, since there two threads would only take turns.
 """
 
 from __future__ import annotations

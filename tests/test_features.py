@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sampleflow.features import (FEATURE_NAMES, MAX_IAT_SECONDS,
                                  MAX_LENGTH_BYTES, EmptyFlowError,
@@ -64,7 +66,38 @@ def brute_force_stats(events):
     return out
 
 
+def numpy_stats(flow):
+    """The 24 statistics from np.mean and np.std, one block at a time."""
+    lengths = np.abs(flow.signed).astype(np.float64)
+    out = []
+    for mask in (flow.signed > 0, flow.signed < 0, slice(None)):
+        for values in (lengths[mask], np.diff(flow.times[mask])):
+            out += ([values.min(), values.max(), np.mean(values),
+                     np.std(values)] if values.size else [0.0] * 4)
+    return np.array(out)
+
+
+# (time step, signed length) per packet: steps of 0 give equal times, and
+# lengths of one sign a flow in one direction only
+PACKETS = st.lists(
+    st.tuples(st.sampled_from([0.0, 1e-6, 0.1]) | st.floats(0, 100),
+              st.integers(-1500, 1500).filter(bool)),
+    min_size=1, max_size=80)
+
+
 class TestStatFeatures:
+    @given(PACKETS)
+    @example([(0.0, 100)])
+    @example([(0.0, 100), (0.5, 60), (0.2, 1500)])
+    @example([(0.0, -100), (0.5, -60), (0.2, -1500)])
+    @example([(0.0, 100), (0.0, -60), (0.0, 40), (0.0, -1500)])
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_to_numpy_mean_and_std(self, packets):
+        times = np.cumsum([step for step, _ in packets])
+        flow = make_flow(list(zip(times.tolist(), [s for _, s in packets])))
+        assert stat_features(flow).view(np.int64).tolist() == \
+            numpy_stats(flow).view(np.int64).tolist()
+
     def test_single_packet(self):
         vec = stat_features(make_flow([(0.0, 100)]))
         named = dict(zip(FEATURE_NAMES, vec))
