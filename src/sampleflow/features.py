@@ -22,10 +22,6 @@ NUM_FEATURES = len(FEATURE_NAMES)
 FEATURE_ORDER_VERSION = 1
 
 
-class EmptyFlowError(DataError):
-    pass
-
-
 class InconsistentSampleError(DataError):
     pass
 
@@ -52,8 +48,6 @@ def stat_features(flow: Flow) -> np.ndarray:
     IATs are differenced within each direction subset; subsets with fewer than
     two packets get all-zero IAT statistics. Units are bytes and seconds.
     """
-    if len(flow) == 0:
-        raise EmptyFlowError(f"flow {flow.id} has no packets")
     times, signed = flow.times, flow.signed
     lengths = np.abs(signed).astype(np.float64)
     out = np.empty(NUM_FEATURES)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Union
@@ -43,8 +44,20 @@ class FiveTuple:
     protocol: str  # "tcp" or "udp"
 
     def __post_init__(self):
+        """FlowFormatError unless the addresses are strings, the ports ints
+        in 0..65535 and the protocol tcp or udp. Messages name the flow
+        file's keys."""
+        for name, value in (("src", self.src_addr), ("dst", self.dst_addr)):
+            if not isinstance(value, str):
+                raise FlowFormatError(
+                    f"{name} must be a string, got {value!r}")
+        for name, port in (("sport", self.src_port), ("dport", self.dst_port)):
+            if type(port) is not int or not 0 <= port <= 65535:
+                raise FlowFormatError(
+                    f"{name} must be an integer in 0..65535, got {port!r}")
         if self.protocol not in _PROTOCOLS:
-            raise ValueError(f"protocol must be tcp or udp, got {self.protocol!r}")
+            raise FlowFormatError(
+                f"protocol must be tcp or udp, got {self.protocol!r}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +68,10 @@ class PacketEvent:
 
 @dataclass(eq=False)
 class Flow:
-    """One bidirectional flow, stored as two columns of equal length."""
+    """One bidirectional flow, stored as two columns of equal length.
+
+    A Flow is valid by construction: FlowFormatError for any flow that the
+    flow file cannot hold. Both columns are made read-only, not copied."""
     id: str
     five_tuple: FiveTuple
     times: np.ndarray     # float64[n]: seconds since the earliest packet
@@ -65,8 +81,19 @@ class Flow:
     def __post_init__(self):
         self.times = _column(self.times, np.float64, "times")
         self.signed = _column(self.signed, np.int64, "signed")
-        if self.times.ndim != 1 or self.times.shape != self.signed.shape:
-            raise ValueError("times and signed must be 1-D, of equal length")
+        if self.times.ndim != 1 or self.signed.ndim != 1:
+            raise FlowFormatError("times and signed must be 1-D")
+        if len(self.times) != len(self.signed):
+            raise FlowFormatError(
+                f"{len(self.times)} times but {len(self.signed)} lengths")
+        _check_packets(self.times, self.signed)
+        if not isinstance(self.id, str):
+            raise FlowFormatError(f"id must be a string, got {self.id!r}")
+        if self.label is not None and not isinstance(self.label, str):
+            raise FlowFormatError(
+                f"label must be a string or null, got {self.label!r}")
+        self.times.flags.writeable = False
+        self.signed.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.times)
@@ -88,9 +115,11 @@ class Flow:
 
 
 def _column(values, dtype, name: str) -> np.ndarray:
-    """values as a dtype array; ValueError for a boolean, or a value of a
-    type that dtype does not hold exactly: a string or, for int64, a float.
-    An empty column passes, so that write_flows names it."""
+    """values as a dtype array; FlowFormatError for a boolean, or a value of
+    a type that dtype does not hold exactly: a string or, for int64, a
+    float. An empty column passes, so that _check_packets names it."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype:
+        return values  # as ingest, synth and the reader pass
     array = np.asarray(values)
     if array.size and (array.dtype.kind == "b"
                        or not np.can_cast(array.dtype, dtype)
@@ -98,138 +127,95 @@ def _column(values, dtype, name: str) -> np.ndarray:
                        or not isinstance(values, np.ndarray) and any(
                            isinstance(v, (bool, np.bool_))
                            for v in np.asarray(values, dtype=object).flat)):
-        raise ValueError(f"{name} must hold {np.dtype(dtype)} values, got "
-                         f"{values!r:.60}")
+        raise FlowFormatError(f"{name} must hold {np.dtype(dtype)} values, "
+                              f"got {values!r:.60}")
     return array.astype(dtype, copy=False)
 
 
 def filter_short_flows(flows: Iterable[Flow], min_packets: int) -> list[Flow]:
-    """Drop flows with fewer than min_packets packets, preserving order."""
+    """Drop flows with fewer than min_packets packets, preserving order.
+    Ingest never builds such flows (ingest.assemble_flows); this stays while
+    perfbench/tracing.py patches the name."""
     if min_packets < 1:
         raise ValueError("min_packets must be >= 1")
     return [f for f in flows if len(f) >= min_packets]
 
 
-def _check_fields(fid, src, dst, sport, dport, label, line: int | None
-                  ) -> None:
-    """Raise FlowFormatError unless a flow's id, addresses and label are
-    strings (the label may be None) and its ports are ints in 0..65535."""
-    if label is not None and not isinstance(label, str):
-        raise FlowFormatError(f"label must be a string or null, got {label!r}",
-                              line)
-    for name, value in (("id", fid), ("src", src), ("dst", dst)):
-        if not isinstance(value, str):
-            raise FlowFormatError(f"{name} must be a string, got {value!r}",
-                                  line)
-    for name, port in (("sport", sport), ("dport", dport)):
-        if type(port) is not int or not 0 <= port <= 65535:
-            raise FlowFormatError(
-                f"{name} must be an integer in 0..65535, got {port!r}", line)
-
-
-def _check_packets(times: np.ndarray, lengths: np.ndarray, line: int | None
-                   ) -> None:
+def _check_packets(times: np.ndarray, lengths: np.ndarray) -> None:
     """Raise FlowFormatError unless the columns are a flow's packets: at least
     one; times finite, at least 0 and non-decreasing; int64 lengths non-zero
     and below 2**53 in size."""
     # the common case, valid columns, in few passes; the ordered checks
     # below only pick the error
-    if times.size and times[0] >= 0 and np.isfinite(times[-1]) \
+    if times.size and times[0] >= 0 and math.isfinite(times[-1]) \
             and (times[1:] >= times[:-1]).all() \
             and -2 ** 53 < lengths.min() and lengths.max() < 2 ** 53 \
             and lengths.all():
         return
     if times.size == 0:
-        raise FlowFormatError("flow has no packets", line)
+        raise FlowFormatError("flow has no packets")
     if not np.isfinite(times).all():
-        raise FlowFormatError("non-finite rel_time", line)
+        raise FlowFormatError("non-finite rel_time")
     if (times < 0).any():
-        raise FlowFormatError(f"negative rel_time {times.min()}", line)
+        raise FlowFormatError(f"negative rel_time {times.min()}")
     if (np.diff(times) < 0).any():
-        raise FlowFormatError("rel_time decreases", line)
+        raise FlowFormatError("rel_time decreases")
     # compared as floats: abs(-2**63) overflows int64
     small = (-2.0 ** 53 < lengths) & (lengths < 2.0 ** 53)
     if not small.all():
         raise FlowFormatError("packet length must be an integer below 2**53 "
-                              f"in size, got {lengths[~small][0]}", line)
+                              f"in size, got {lengths[~small][0]}")
     if (lengths == 0).any():
-        raise FlowFormatError("zero packet length", line)
+        raise FlowFormatError("zero packet length")
 
 
 # packet columns: record key, dtype of its bytes, dtype of the column
 _COLUMNS = (("times", "<f8", np.float64), ("lengths", "<i8", np.int64))
 
 
-def _base64_columns(rec: dict, line: int) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (times, signed) columns of a record: "times" and "lengths"
-    are the standard base64 of little-endian float64 and int64."""
-    columns = []
-    for key, stored, dtype in _COLUMNS:
-        text = rec[key]
-        if not isinstance(text, str):
-            raise FlowFormatError(
-                f"{key} must be a base64 string, got {text!r:.40}", line)
-        try:
-            data = base64.b64decode(text, validate=True)
-        except ValueError as exc:  # binascii.Error, or a non-ASCII string
-            raise FlowFormatError(f"{key} is not base64: {exc}", line) from exc
-        if len(data) % 8:
-            raise FlowFormatError(
-                f"{key} holds {len(data)} bytes, not a multiple of 8", line)
-        columns.append(np.frombuffer(data, stored).astype(dtype))
-    times, signed = columns
-    if times.shape != signed.shape:
-        raise FlowFormatError(f"{len(times)} times but {len(signed)} lengths",
-                              line)
-    _check_packets(times, signed, line)
-    return times, signed
-
-
-def _record_to_flow(rec: dict, line: int) -> Flow:
-    """The flow of one decoded record."""
+def _base64_column(key: str, text, stored: str, dtype) -> np.ndarray:
+    """A record's column: the standard base64 of its little-endian bytes."""
+    if not isinstance(text, str):
+        raise FlowFormatError(
+            f"{key} must be a base64 string, got {text!r:.40}")
     try:
-        t = rec["tuple"]
-        # int() first, so that a port int() cannot convert keeps the "bad
-        # flow record" message; the type and range are checked below
-        five = FiveTuple(t["src"], t["dst"], int(t["sport"]), int(t["dport"]),
-                         t["proto"])
-        times, signed = _base64_columns(rec, line)
-        fid = rec["id"]
-    except FlowFormatError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FlowFormatError(f"bad flow record: {exc}", line) from exc
-    label = rec.get("label")
-    _check_fields(fid, t["src"], t["dst"], t["sport"], t["dport"], label, line)
-    return Flow(id=fid, five_tuple=five, times=times, signed=signed,
-                label=label)
+        data = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise FlowFormatError(f"{key} is not base64: {exc}") from exc
+    if len(data) % 8:
+        raise FlowFormatError(
+            f"{key} holds {len(data)} bytes, not a multiple of 8")
+    return np.frombuffer(data, stored).astype(dtype)
 
 
-def _read_record(raw: str, line: int) -> Flow:
-    """One record line."""
+def _read_record(raw: str) -> Flow:
+    """The flow of one record line."""
     try:
         rec = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise FlowFormatError(f"bad JSON: {exc}", line) from exc
+        raise FlowFormatError(f"bad JSON: {exc}") from exc
     if not isinstance(rec, dict):
-        raise FlowFormatError("flow record is not an object", line)
+        raise FlowFormatError("flow record is not an object")
     version = rec.get("v")
     if type(version) is not int or version != SCHEMA_VERSION:
         raise FlowVersionError(f"record schema version {version!r} is "
-                               f"not the header's {SCHEMA_VERSION}", line)
-    return _record_to_flow(rec, line)
+                               f"not the header's {SCHEMA_VERSION}")
+    try:
+        t = rec["tuple"]
+        five = (t["src"], t["dst"], t["sport"], t["dport"], t["proto"])
+        texts = [rec[key] for key, _, _ in _COLUMNS]
+        fid = rec["id"]
+    except (KeyError, TypeError) as exc:
+        raise FlowFormatError(f"bad flow record: {exc}") from exc
+    times, signed = (_base64_column(key, text, stored, dtype)
+                     for (key, stored, dtype), text in zip(_COLUMNS, texts))
+    return Flow(id=fid, five_tuple=FiveTuple(*five), times=times,
+                signed=signed, label=rec.get("label"))
 
 
 def _flow_to_line(flow: Flow) -> str:
-    """The record line of a flow; FlowFormatError, naming the flow, if
-    read_flows would reject it."""
+    """The record line of a flow."""
     five = flow.five_tuple
-    try:
-        _check_fields(flow.id, five.src_addr, five.dst_addr, five.src_port,
-                      five.dst_port, flow.label, None)
-        _check_packets(flow.times, flow.signed, None)
-    except FlowFormatError as exc:
-        raise FlowFormatError(f"flow {flow.id!r}: {exc}") from None
     columns = {key: base64.b64encode(column.astype(stored).tobytes()
                                      ).decode("ascii")
                for (key, stored, _), column in zip(_COLUMNS,
@@ -259,8 +245,8 @@ def _open_for(target: Sink, mode: str):
 
 
 def write_flows(flows: Iterable[Flow], sink: Sink) -> None:
-    """Write a flow file. Every flow is checked before the sink is opened,
-    so a flow that read_flows would reject leaves no file."""
+    """Write a flow file. A Flow is valid by construction, so read_flows
+    reads back every flow written."""
     lines = [json.dumps({"v": SCHEMA_VERSION, "format": "flows"}) + "\n"]
     lines += [_flow_to_line(flow) + "\n" for flow in flows]
     fh, owned = _open_for(sink, "w")
@@ -293,5 +279,11 @@ def read_flows(source: Sink) -> list[Flow]:
     version = header.get("v")
     if type(version) is not int or version != SCHEMA_VERSION:
         raise FlowVersionError(f"unsupported schema version {version}", 1)
-    return [_read_record(raw, lineno)
-            for lineno, raw in enumerate(lines[1:], start=2) if raw.strip()]
+    flows = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if raw.strip():
+            try:
+                flows.append(_read_record(raw))
+            except FlowFormatError as exc:
+                raise type(exc)(str(exc), lineno) from exc
+    return flows

@@ -19,6 +19,7 @@ from .flows import FiveTuple, Flow
 
 PCAP_GLOBAL_HEADER_LEN = 24
 PCAP_RECORD_HEADER_LEN = 16
+LINKTYPE_ETHERNET = 1
 
 # magic -> (byte order, timestamp fraction divisor)
 _MAGICS = {
@@ -45,7 +46,7 @@ _REASONS = ("malformed", "non-ipv4", "non-tcp-udp")
 
 
 class UnsupportedFormatError(DataError):
-    """Input is not a classic pcap file."""
+    """Input is not a classic pcap file of Ethernet frames."""
 
 
 class TruncatedCaptureError(DataError):
@@ -78,10 +79,12 @@ class DecodedPackets:
 
 
 def parse_pcap(data: bytes) -> Iterator[RecordBlock]:
-    """Yield all records of a classic pcap capture as one block.
+    """Yield all records of a classic pcap capture of Ethernet frames as one
+    block.
 
     The whole capture is checked before the block is yielded, so a truncated
-    capture raises before any record is returned.
+    capture, or one of another link type, raises before any record is
+    returned.
     """
     size = len(data)
     if size < PCAP_GLOBAL_HEADER_LEN:
@@ -90,6 +93,12 @@ def parse_pcap(data: bytes) -> Iterator[RecordBlock]:
     if magic_le not in _MAGICS:
         raise UnsupportedFormatError(f"bad pcap magic 0x{magic_le:08x}")
     order, ts_div = _MAGICS[magic_le]
+    # the top bits of the link-type field may hold FCS information
+    linktype = struct.unpack_from(order + "I", data, 20)[0] & 0xFFFF
+    if linktype != LINKTYPE_ETHERNET:
+        raise UnsupportedFormatError(
+            f"unsupported link type {linktype}: only Ethernet "
+            f"({LINKTYPE_ETHERNET}) is decoded")
     incl_len = struct.Struct(order + "I").unpack_from
     headers = []
     offset = PCAP_GLOBAL_HEADER_LEN
@@ -161,9 +170,10 @@ def _dotted(addr: int) -> str:
     return ".".join(str(b) for b in addr.to_bytes(4, "big"))
 
 
-def assemble_flows(packets: DecodedPackets,
-                   idle_timeout: float = 60.0) -> list[Flow]:
-    """Group decoded packets into bidirectional flows split on idle gaps.
+def assemble_flows(packets: DecodedPackets, idle_timeout: float = 60.0,
+                   min_packets: int = 1) -> list[Flow]:
+    """Group decoded packets into bidirectional flows split on idle gaps,
+    and build those of at least min_packets packets.
 
     Packets share a key when they have the same protocol and the same
     unordered pair of (address, port) endpoints. Within a key, in file
@@ -171,10 +181,13 @@ def assemble_flows(packets: DecodedPackets,
     timestamp starts a new flow. The first packet of a flow sets its forward
     direction. Its packets are then stable-sorted by capture timestamp, and
     rel_time counts from the earliest one, so reordered captures give no
-    negative gaps. Flows come out in the order of their first packets.
+    negative gaps. Flows come out in the order of their first packets; a
+    flow's id counts the flows of its key before it, short ones included.
     """
     if not idle_timeout > 0:
         raise ValueError("idle_timeout must be > 0")
+    if min_packets < 1:
+        raise ValueError("min_packets must be >= 1")
     n = len(packets.timestamp)
     if n == 0:
         return []
@@ -196,6 +209,7 @@ def assemble_flows(packets: DecodedPackets,
     starts = new_key.copy()
     starts[1:] |= ts[1:] - latest[:-1] > idle_timeout
     first = np.flatnonzero(starts)
+    end = np.append(first[1:], n)
     flow_of = np.cumsum(starts) - 1
 
     src, sport = packets.src[order], packets.sport[order]
@@ -204,34 +218,33 @@ def assemble_flows(packets: DecodedPackets,
     signed = np.where(forward, length, -length)
     by_time = np.lexsort((ts, flow_of))  # file order on equal times
     ts, signed = ts[by_time], signed[by_time]
-    times = np.split(ts - ts[first][flow_of], first[1:])
-    signed = np.split(signed, first[1:])
+    times = ts - ts[first][flow_of]
 
     key_first = np.flatnonzero(new_key[first])  # each key's first flow
     seq = np.arange(len(first)) - np.repeat(
         key_first, np.diff(key_first, append=len(first)))
     arrival = order[first]  # file position of each flow's first packet
+    by_arrival = np.argsort(arrival)
+    kept = by_arrival[end[by_arrival] - first[by_arrival] >= min_packets]
     flows = []
-    for f in np.argsort(arrival).tolist():
-        i = arrival[f]
+    for i, k, lo, hi in zip(arrival[kept].tolist(), seq[kept].tolist(),
+                            first[kept].tolist(), end[kept].tolist()):
         five = FiveTuple(_dotted(int(packets.src[i])),
                          _dotted(int(packets.dst[i])),
                          int(packets.sport[i]), int(packets.dport[i]),
                          "tcp" if packets.proto[i] == PROTO_TCP else "udp")
         flows.append(Flow(
             id=f"{five.src_addr}:{five.src_port}-{five.dst_addr}:"
-               f"{five.dst_port}/{five.protocol}#{seq[f]}",
-            five_tuple=five, times=times[f], signed=signed[f]))
+               f"{five.dst_port}/{five.protocol}#{k}",
+            five_tuple=five, times=times[lo:hi], signed=signed[lo:hi]))
     return flows
 
 
 def ingest_pcap(data: bytes, idle_timeout: float = 60.0,
                 min_packets: int = 100,
                 stats: DecodeStats | None = None) -> list[Flow]:
-    """Full ingestion: parse, decode, assemble, filter short flows."""
-    from .flows import filter_short_flows
-
+    """Full ingestion: parse, decode, and assemble the flows of at least
+    min_packets packets."""
     (block,) = parse_pcap(data)
-    flows = assemble_flows(decode_packet(block, stats),
-                           idle_timeout=idle_timeout)
-    return filter_short_flows(flows, min_packets)
+    return assemble_flows(decode_packet(block, stats),
+                          idle_timeout=idle_timeout, min_packets=min_packets)

@@ -69,33 +69,22 @@ class Inputs:
         return dict(self._digests)
 
 
-def config_hash(config: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(config, sort_keys=True).encode()).hexdigest()
-
-
-def build_manifest(subcommand: str, config: dict, seed: int | None,
-                   inputs: dict[str, str], outputs: list[str | Path],
-                   started: float, finished: float) -> dict:
-    return {
-        "tool_version": __version__,
-        "subcommand": subcommand,
-        "config": config,
-        "config_sha256": config_hash(config),
-        "seed": seed,
-        "inputs": inputs,
-        "outputs": {str(p): sha256_file(p) for p in outputs},
-        "started_unix": started,
-        "finished_unix": finished,
-    }
-
-
 def write_manifest(artifact: str | Path, subcommand: str, config: dict,
                    seed: int | None, inputs: dict[str, str],
                    started: float) -> Path:
     """Write <artifact>.manifest.json; inputs are Inputs.digests()."""
-    manifest = build_manifest(subcommand, config, seed, inputs, [artifact],
-                              started, time.time())
+    manifest = {
+        "tool_version": __version__,
+        "subcommand": subcommand,
+        "config": config,
+        "config_sha256": hashlib.sha256(
+            json.dumps(config, sort_keys=True).encode()).hexdigest(),
+        "seed": seed,
+        "inputs": inputs,
+        "outputs": {str(artifact): sha256_file(artifact)},
+        "started_unix": started,
+        "finished_unix": time.time(),
+    }
     out = Path(str(artifact) + ".manifest.json")
     out.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return out

@@ -224,8 +224,6 @@ def augment(flow: Flow, spec: SamplingSpec, window: int, max_copies: int,
             f"{max_copies} copies of window {window} is more than "
             f"{MAX_SAMPLED_INDICES} sampled indices a flow")
     flow_len = len(flow)
-    if flow_len == 0:
-        raise InvalidStartError(f"flow {flow.id} has no packets")
 
     if isinstance(spec, Random):
         if rng is None:

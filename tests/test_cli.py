@@ -91,7 +91,7 @@ class TestExitCodes:
         assert cli.DATA_ERRORS == (OSError, DataError)
         for cls in (flows.FlowFormatError, flows.FlowVersionError,
                     ingest.UnsupportedFormatError,
-                    ingest.TruncatedCaptureError, features.EmptyFlowError,
+                    ingest.TruncatedCaptureError,
                     features.InconsistentSampleError,
                     sampling.InvalidStartError, sampling.SampleSizeError,
                     synth.SynthConfigError,
@@ -277,6 +277,21 @@ class TestIngestCommand:
         assert code == 1
         assert "--timeout" in err
         assert not out.exists()
+
+    def test_link_type_not_ethernet_is_data_error(self, capsys, tmp_path):
+        # five records of a Linux cooked capture (link type 113), which
+        # read as Ethernet would all be skipped as non-ipv4
+        frame = pc.udp_frame("10.0.0.1", "10.0.0.2", 1000, 443, 50)
+        cap = tmp_path / "cooked.pcap"
+        cap.write_bytes(pc.global_header(linktype=113) + b"".join(
+            pc.record(frame, 1, 1000 * i) for i in range(5)))
+        out = tmp_path / "o.flows"
+        code, stdout, err = run(capsys, "ingest", "--pcap", str(cap),
+                                "--out", str(out), "--min-packets", "1")
+        assert code == 2
+        assert "link type 113" in err and stdout == ""
+        assert not out.exists()
+        assert not (tmp_path / "o.flows.manifest.json").exists()
 
     def test_truncated_pcap_is_data_error(self, capsys, tmp_path):
         cap = tmp_path / "bad.pcap"

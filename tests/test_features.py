@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sampleflow.features import (FEATURE_NAMES, MAX_IAT_SECONDS,
-                                 MAX_LENGTH_BYTES, EmptyFlowError,
-                                 InconsistentSampleError, input_matrix,
-                                 normalize_targets, stat_features)
-from sampleflow.flows import FiveTuple, Flow
+                                 MAX_LENGTH_BYTES, InconsistentSampleError,
+                                 input_matrix, normalize_targets,
+                                 stat_features)
+from sampleflow.flows import FiveTuple, Flow, FlowFormatError
 from sampleflow.sampling import (Fixed, Incremental, Random, augment,
                                  derive_rng)
 
@@ -138,8 +138,9 @@ class TestStatFeatures:
         np.testing.assert_allclose(got, expected, atol=1e-12, rtol=0)
 
     def test_empty_flow_error(self):
-        with pytest.raises(EmptyFlowError):
-            stat_features(make_flow([], fid="e"))
+        # an empty flow cannot be built, so stat_features never gets one
+        with pytest.raises(FlowFormatError, match="^flow has no packets$"):
+            make_flow([], fid="e")
 
     def test_direction_counts_consistent(self):
         rng = np.random.default_rng(3)

@@ -59,6 +59,24 @@ class TestParsePcap:
         with pytest.raises(UnsupportedFormatError):
             list(parse_pcap(b"\x00" * 24))
 
+    @pytest.mark.parametrize("order", ["<", ">"])
+    @pytest.mark.parametrize("linktype", [0, 101, 113, 228, 276, 0x10071])
+    def test_link_type_not_decoded_refused(self, linktype, order):
+        data = pc.global_header(order=order, linktype=linktype) + pc.record(
+            pc.udp_frame("10.0.0.1", "10.0.0.2", 1, 2), 0, 0, order=order)
+        expected = f"^unsupported link type {linktype & 0xFFFF}:"
+        with pytest.raises(UnsupportedFormatError, match=expected):
+            list(parse_pcap(data))
+
+    @pytest.mark.parametrize("order", ["<", ">"])
+    def test_ethernet_with_fcs_bits_read(self, order):
+        # the top bits of the link-type field may hold FCS information
+        frame = pc.udp_frame("10.0.0.1", "10.0.0.2", 1, 2)
+        data = pc.global_header(order=order, linktype=0x10000001) \
+            + pc.record(frame, 0, 0, order=order)
+        [block] = parse_pcap(data)
+        assert frames(block) == [frame]
+
 
 def decode(*frame_list, ts=0.0, stats=None):
     [block] = parse_pcap(pc.pcap([(f, ts) for f in frame_list]))
@@ -332,13 +350,15 @@ def _captures(draw):
 
 class TestIngestMatchesReference:
     @settings(max_examples=300, deadline=None)
-    @given(_captures())
-    def test_same_flows_ids_times_and_stats(self, capture):
+    @given(_captures(), st.sampled_from([1, 1, 2, 3, 5, 8]))
+    def test_same_flows_ids_times_and_stats(self, capture, min_packets):
         data, timeout = capture
         stats = DecodeStats()
-        got = ingest_pcap(data, idle_timeout=timeout, min_packets=1,
+        got = ingest_pcap(data, idle_timeout=timeout, min_packets=min_packets,
                           stats=stats)
         want, decoded, skipped = ref.ingest(data, idle_timeout=timeout)
+        # the reference builds every flow; ids keep the #seq of all of them
+        want = [f for f in want if len(f) >= min_packets]
         assert got == want
         assert [f.times.tobytes() for f in got] == \
             [f.times.tobytes() for f in want]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sampleflow.flows import FiveTuple, Flow
+from sampleflow.flows import FiveTuple, Flow, FlowFormatError
 from sampleflow.sampling import (_RANDOM_BLOCK, MAX_SAMPLED_INDICES, Fixed,
                                  Incremental, InvalidStartError, Random,
                                  SampleSizeError, _random_rows, augment,
@@ -238,8 +238,9 @@ class TestAugment:
         assert all(s + span <= 1500 for s in starts)
 
     def test_empty_flow_rejected(self):
-        with pytest.raises(InvalidStartError):
-            augment(make_flow(0), Fixed(1), window=5, max_copies=1)
+        # an empty flow cannot be built, so augment never gets one
+        with pytest.raises(FlowFormatError, match="^flow has no packets$"):
+            make_flow(0)
 
 
 def scalar_augment(flow_len, spec, window, max_copies, gen):
