@@ -149,9 +149,11 @@ def cmd_sample(args) -> int:
     inputs = manifest.Inputs(in_path)
     spec = _parse_sampling(args.method, args.params)
     flow_list = flows.read_flows(in_path)
-    samples = [(f, sampling.augment(f, spec, args.window, args.copies,
-                                    sampling.derive_rng(args.seed, f.id)))
-               for f in flow_list]
+    seeded = isinstance(spec, sampling.Random)  # the others draw nothing
+    samples = [(f, sampling.augment(
+        f, spec, args.window, args.copies,
+        sampling.derive_rng(args.seed, f.id) if seeded else None))
+        for f in flow_list]
     digests = inputs.digests()
     sampling.write_sampled(samples, args.out)
     write_manifest(args.out, "sample",

@@ -66,34 +66,55 @@ class PacketEvent:
     signed_length: int    # bytes; positive = forward, negative = backward
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, init=False)
 class Flow:
     """One bidirectional flow, stored as two columns of equal length.
 
-    A Flow is valid by construction: FlowFormatError for any flow that the
-    flow file cannot hold. Both columns are made read-only, not copied."""
+    A Flow is valid by construction, and stays valid: FlowFormatError for
+    any flow that the flow file cannot hold. Both columns are made
+    read-only, not copied, and cannot be rebound; id, five_tuple and label
+    can, and each new value is checked as at construction."""
     id: str
     five_tuple: FiveTuple
     times: np.ndarray     # float64[n]: seconds since the earliest packet
     signed: np.ndarray    # int64[n]: bytes; positive = forward
     label: str | None = None
 
-    def __post_init__(self):
-        self.times = _column(self.times, np.float64, "times")
-        self.signed = _column(self.signed, np.int64, "signed")
-        if self.times.ndim != 1 or self.signed.ndim != 1:
+    def __init__(self, id: str, five_tuple: FiveTuple, times, signed,
+                 label: str | None = None):
+        times = _column(times, np.float64, "times")
+        signed = _column(signed, np.int64, "signed")
+        if times.ndim != 1 or signed.ndim != 1:
             raise FlowFormatError("times and signed must be 1-D")
-        if len(self.times) != len(self.signed):
+        if len(times) != len(signed):
             raise FlowFormatError(
-                f"{len(self.times)} times but {len(self.signed)} lengths")
-        _check_packets(self.times, self.signed)
-        if not isinstance(self.id, str):
-            raise FlowFormatError(f"id must be a string, got {self.id!r}")
-        if self.label is not None and not isinstance(self.label, str):
+                f"{len(times)} times but {len(signed)} lengths")
+        _check_packets(times, signed)
+        if not isinstance(id, str):
+            raise FlowFormatError(f"id must be a string, got {id!r}")
+        if not isinstance(five_tuple, FiveTuple):
             raise FlowFormatError(
-                f"label must be a string or null, got {self.label!r}")
-        self.times.flags.writeable = False
-        self.signed.flags.writeable = False
+                f"five_tuple must be a FiveTuple, got {five_tuple!r:.60}")
+        if label is not None and not isinstance(label, str):
+            raise FlowFormatError(
+                f"label must be a string or null, got {label!r}")
+        times.flags.writeable = False
+        signed.flags.writeable = False
+        # stored past __setattr__, which would check each field again
+        fields = self.__dict__
+        fields["id"] = id
+        fields["five_tuple"] = five_tuple
+        fields["times"] = times
+        fields["signed"] = signed
+        fields["label"] = label
+
+    def __setattr__(self, name: str, value) -> None:
+        if name not in _REBINDABLE:
+            raise AttributeError(f"cannot set {name!r} of a built Flow: only "
+                                 f"{', '.join(_REBINDABLE)} can be rebound")
+        # the checks of construction, on this flow with the new value
+        Flow(**{**self.__dict__, name: value})
+        self.__dict__[name] = value
 
     def __len__(self) -> int:
         return len(self.times)
@@ -112,6 +133,10 @@ class Flow:
         reader is perfbench/workloads.py; it goes once that reads columns."""
         return tuple(PacketEvent(t, s) for t, s in
                      zip(self.times.tolist(), self.signed.tolist()))
+
+
+# the fields of a built Flow that may be rebound
+_REBINDABLE = ("id", "five_tuple", "label")
 
 
 def _column(values, dtype, name: str) -> np.ndarray:
@@ -214,13 +239,11 @@ def _read_record(raw: str) -> Flow:
 
 
 def _flow_to_line(flow: Flow) -> str:
-    """The record line of a flow."""
+    """The record line of a flow: json.dumps of the whole record. Base64
+    holds no character that JSON escapes, so the columns are spliced in
+    after the JSON of the rest, not scanned by json."""
     five = flow.five_tuple
-    columns = {key: base64.b64encode(column.astype(stored).tobytes()
-                                     ).decode("ascii")
-               for (key, stored, _), column in zip(_COLUMNS,
-                                                   (flow.times, flow.signed))}
-    return json.dumps({
+    head = json.dumps({
         "v": SCHEMA_VERSION,
         "id": flow.id,
         "tuple": {
@@ -231,8 +254,13 @@ def _flow_to_line(flow: Flow) -> str:
             "proto": five.protocol,
         },
         "label": flow.label,
-        **columns,
     })
+    parts = [head[:-1]]  # without its closing brace
+    for (key, stored, _), column in zip(_COLUMNS, (flow.times, flow.signed)):
+        text = base64.b64encode(column.astype(stored, copy=False).tobytes())
+        parts.append(f', "{key}": "{text.decode("ascii")}"')
+    parts.append("}")
+    return "".join(parts)
 
 
 Sink = Union[str, Path, IO[str]]

@@ -3,6 +3,11 @@
 A capture is handled as columns: one Python loop walks the record offsets,
 because each record's offset depends on the length of the one before, and
 decoding and flow assembly are numpy operations over all packets at once.
+Each fixed-position field group (a record's timestamps, a frame's Ethernet
+and IPv4 header fields, a segment's ports) is read with one gather of a
+fixed number of bytes per record. A capture whose packets are in time order
+within each conversation, as a one-interface capture is, skips the two
+timestamp sorts that only reordered captures need.
 """
 
 from __future__ import annotations
@@ -33,13 +38,18 @@ ETHERTYPE_IPV4 = 0x0800
 PROTO_TCP = 6
 PROTO_UDP = 17
 
+# byte offset of the IPv4 header in a frame: after an untagged Ethernet
+# header, which ends with the ethertype
+IP_OFFSET = 14
+
 # The fixed-position fields of an untagged Ethernet frame carrying IPv4,
 # at their byte offsets in the frame.
 _ETH_IPV4 = np.dtype({
     "names": ["ethertype", "version_ihl", "total_len", "proto", "src", "dst"],
     "formats": [">u2", "u1", ">u2", "u1", ">u4", ">u4"],
-    "offsets": [12, 14, 16, 23, 26, 30],
-    "itemsize": 34,
+    "offsets": [IP_OFFSET - 2, IP_OFFSET, IP_OFFSET + 2, IP_OFFSET + 9,
+                IP_OFFSET + 12, IP_OFFSET + 16],
+    "itemsize": IP_OFFSET + 20,
 })
 # skip reasons, indexed by the codes decode_packet assigns
 _REASONS = ("malformed", "non-ipv4", "non-tcp-udp")
@@ -109,12 +119,25 @@ def parse_pcap(data: bytes) -> Iterator[RecordBlock]:
         raise TruncatedCaptureError(size)
     buf = np.frombuffer(data, dtype=np.uint8)
     at = np.array(headers, dtype=np.int64)
-    # ts_sec, ts_frac, incl_len, orig_len of every record
-    fields = buf[at[:, None] + np.arange(PCAP_RECORD_HEADER_LEN)].view(
-        order + "u4")
+    # the walk put each header right after the frame before it, so a
+    # frame's incl_len is the distance to the next header, less a header
+    length = np.diff(at, append=size) - PCAP_RECORD_HEADER_LEN
+    # ts_sec and ts_frac of every record, alternating
+    stamp = _rows(buf, at, 8).view(order + "u4")
     yield RecordBlock(data=buf, start=at + PCAP_RECORD_HEADER_LEN,
-                      length=fields[:, 2].astype(np.int64),
-                      timestamp=fields[:, 0] + fields[:, 1] / ts_div)
+                      length=length,
+                      timestamp=stamp[0::2] + stamp[1::2] / ts_div)
+
+
+def _rows(data: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
+    """The width bytes at each offset in at, as one void item each, copied
+    in one gather. Each offset's bytes must lie within data."""
+    if len(at) == 0:
+        return np.empty(0, f"V{width}")
+    # every width-byte window of data, overlapping; nothing is copied
+    windows = np.ndarray((len(data) - width + 1,), f"V{width}", data,
+                         strides=(1,))
+    return windows[at]
 
 
 @dataclass
@@ -133,12 +156,18 @@ def decode_packet(block: RecordBlock,
     UDP (non-tcp-udp), too short for the ports (malformed). stats gets the
     reasons in the order of each reason's first skipped record.
     """
-    frame_len = block.length
-    ip_len = frame_len - 14
-    # bytes past the end of a short frame are junk, and fail a check first
-    h = np.take(block.data,
-                block.start[:, None] + np.arange(_ETH_IPV4.itemsize),
-                mode="clip").view(_ETH_IPV4)[:, 0]
+    data, start, frame_len = block.data, block.start, block.length
+    ip_len = frame_len - IP_OFFSET
+    # bytes past the end of a short frame are junk, and fail a check first.
+    # A record among the last few may have fewer fixed bytes left in the
+    # capture: it is gathered from a clipped start, then read again with
+    # every index past the end clipped to the last byte.
+    width = _ETH_IPV4.itemsize
+    last = len(data) - width  # the last start whose fixed bytes all fit
+    h = _rows(data, np.minimum(start, last), width).view(_ETH_IPV4)
+    tail = int(np.searchsorted(start, last, side="right"))
+    h[tail:] = np.take(data, start[tail:, None] + np.arange(width),
+                       mode="clip").view(_ETH_IPV4)[:, 0]
     ihl = (h["version_ihl"] & 0x0F).astype(np.int64) * 4
     total = h["total_len"].astype(np.int64)
     proto = h["proto"]
@@ -157,12 +186,13 @@ def decode_packet(block: RecordBlock,
                                          return_index=True, return_counts=True)
         for i in np.argsort(first):
             stats.skipped[_REASONS[codes[i]]] += int(counts[i])
-    ports = np.take(block.data, (block.start[ok] + 14 + ihl[ok])[:, None]
-                    + np.arange(4)).view(">u2").astype(np.uint16)
+    # sport and dport of every kept packet, alternating
+    ports = _rows(data, start[ok] + IP_OFFSET + ihl[ok], 4).view(
+        ">u2").astype(np.uint16)
     return DecodedPackets(timestamp=block.timestamp[ok],
                           src=h["src"][ok].astype(np.uint32),
                           dst=h["dst"][ok].astype(np.uint32),
-                          sport=ports[:, 0], dport=ports[:, 1],
+                          sport=ports[0::2], dport=ports[1::2],
                           proto=proto[ok], length=total[ok])
 
 
@@ -201,11 +231,18 @@ def assemble_flows(packets: DecodedPackets, idle_timeout: float = 60.0,
     new_key = np.ones(n, dtype=bool)
     new_key[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]) \
         | (proto[1:] != proto[:-1])
-    # latest timestamp so far within each key: a running max of timestamp
-    # ranks, offset per key so that no key sees an earlier key's values
-    uniq, rank = np.unique(ts, return_inverse=True)
-    shift = (np.cumsum(new_key) - 1) * len(uniq)
-    latest = uniq[np.maximum.accumulate(rank + shift) - shift]
+    # in time order within every key, each packet is its key's latest so
+    # far, and the flows' packets are already sorted by time
+    in_order = bool(((ts[1:] >= ts[:-1]) | new_key[1:]).all())
+    if in_order:
+        latest = ts
+    else:
+        # latest timestamp so far within each key: a running max of
+        # timestamp ranks, offset per key so that no key sees an earlier
+        # key's values
+        uniq, rank = np.unique(ts, return_inverse=True)
+        shift = (np.cumsum(new_key) - 1) * len(uniq)
+        latest = uniq[np.maximum.accumulate(rank + shift) - shift]
     starts = new_key.copy()
     starts[1:] |= ts[1:] - latest[:-1] > idle_timeout
     first = np.flatnonzero(starts)
@@ -216,8 +253,9 @@ def assemble_flows(packets: DecodedPackets, idle_timeout: float = 60.0,
     forward = (src == src[first][flow_of]) & (sport == sport[first][flow_of])
     length = packets.length[order]
     signed = np.where(forward, length, -length)
-    by_time = np.lexsort((ts, flow_of))  # file order on equal times
-    ts, signed = ts[by_time], signed[by_time]
+    if not in_order:
+        by_time = np.lexsort((ts, flow_of))  # file order on equal times
+        ts, signed = ts[by_time], signed[by_time]
     times = ts - ts[first][flow_of]
 
     key_first = np.flatnonzero(new_key[first])  # each key's first flow

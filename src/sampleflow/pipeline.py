@@ -16,8 +16,8 @@ from .flows import Flow
 from .neural import (Adam, Network, build_classifier, build_regressor,
                      cross_entropy_loss, init_params, mse_loss, transfer_trunk)
 from .neural.worker import WORKER
-from .sampling import (SamplingSpec, augment, derive_rng, spec_from_dict,
-                       spec_to_dict)
+from .sampling import (Random, SamplingSpec, augment, derive_rng,
+                       spec_from_dict, spec_to_dict)
 
 logger = logging.getLogger(__name__)
 
@@ -125,8 +125,11 @@ def _sampled_copies(flows: list[Flow], cfg: TrainConfig
     is held twice; only the index matrices are held alongside."""
     if not flows:
         raise EmptyDatasetError("no sampled copies could be built")
+    # only random sampling draws from a flow's generator
+    seeded = isinstance(cfg.sampling, Random)
     rows = [augment(flow, cfg.sampling, cfg.window, cfg.copies,
-                    derive_rng(cfg.seed, flow.id)) for flow in flows]
+                    derive_rng(cfg.seed, flow.id) if seeded else None)
+            for flow in flows]
     counts = np.array([len(r) for r in rows], dtype=np.int64)
     ends = np.cumsum(counts)
     copies = int(ends[-1])

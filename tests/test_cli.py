@@ -427,6 +427,26 @@ class TestPipelineRoundTrip:
         digest = hashlib.sha256(flows_path.read_bytes()).hexdigest()
         assert payload["manifest"]["inputs"] == {str(flows_path): digest}
 
+    def test_sample_incremental_derives_no_generator(self, capsys, workspace,
+                                                     monkeypatch):
+        # only random sampling draws from a flow's generator
+        root, flows_path, _ = workspace
+        argv = ["sample", "--flows", str(flows_path), "--method",
+                "incremental", "--params", "2,1.2,3", "--window", "10",
+                "--copies", "2", "--seed", "3"]
+        want = root / "inc-want.jsonl"
+        assert run(capsys, *argv, "--out", str(want))[0] == 0
+
+        def refuse(seed, flow_id):
+            raise AssertionError("derive_rng called")
+
+        monkeypatch.setattr(sampling, "derive_rng", refuse)
+        got = root / "inc-got.jsonl"
+        code, stdout, _ = run(capsys, *argv, "--out", str(got))
+        assert code == 0
+        assert "wrote 16 sampled copies" in stdout
+        assert got.read_bytes() == want.read_bytes()
+
     def test_sample_negative_seed(self, capsys, workspace):
         # the per-flow generator hashes the seed, so any integer works
         root, flows_path, _ = workspace

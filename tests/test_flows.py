@@ -299,6 +299,53 @@ class TestFlowHoldsTheRules:
         assert flow.times.tolist() == [0.0, 0.5]
         assert flow.signed.tolist() == [100, -7]
 
+    @pytest.mark.parametrize("name, value", [
+        ("times", np.array([1.0, 0.0])),
+        ("signed", np.array([100, 0])),
+        ("times", np.array([0.0, 0.25])),  # valid, and still refused
+    ], ids=["decreasing times", "zero length", "valid times"])
+    def test_column_not_rebound(self, name, value):
+        # a rebound column would skip the checks, and write_flows would
+        # write a record that read_flows refuses
+        flow = Flow("x", make_flow().five_tuple, times=[0.0, 0.5],
+                    signed=[100, -7])
+        with pytest.raises(AttributeError, match=f"cannot set '{name}'"):
+            setattr(flow, name, value)
+        assert flow.times.tolist() == [0.0, 0.5]
+        assert flow.signed.tolist() == [100, -7]
+        assert roundtrip([flow]) == [flow]
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("id", 7, "id must be a string, got 7"),
+        ("label", 5, "label must be a string or null, got 5"),
+        ("five_tuple", ("10.0.0.1", "10.0.0.2", 1, 2, "udp"),
+         "five_tuple must be a FiveTuple, got ('10.0.0.1'"),
+    ])
+    def test_rebinding_checked_as_construction(self, name, value, message):
+        flow = make_flow(label="a")
+        before = (flow.id, flow.five_tuple, flow.label)
+        with pytest.raises(FlowFormatError, match="^" + re.escape(message)):
+            setattr(flow, name, value)
+        with pytest.raises(FlowFormatError, match="^" + re.escape(message)):
+            Flow(**{"id": flow.id, "five_tuple": flow.five_tuple,
+                    "times": flow.times, "signed": flow.signed,
+                    "label": flow.label, name: value})
+        assert (flow.id, flow.five_tuple, flow.label) == before
+
+    def test_valid_rebinding_kept(self):
+        flow = make_flow(label="a")
+        five = FiveTuple("10.9.9.9", "10.0.0.2", 7, 443, "tcp")
+        flow.id, flow.label, flow.five_tuple = "renamed", None, five
+        assert (flow.id, flow.label, flow.five_tuple) == ("renamed", None,
+                                                          five)
+        assert roundtrip([flow]) == [flow]
+
+    def test_no_other_attribute_set(self):
+        flow = make_flow()
+        with pytest.raises(AttributeError, match="cannot set 'cache'"):
+            flow.cache = {}
+        assert not hasattr(flow, "cache")
+
 
 def packet_rules(times, lengths):
     """The message of the first packet rule the columns break, in the order
@@ -592,6 +639,29 @@ class TestV2File:
         out = io.StringIO()
         write_flows([flow], out)
         assert out.getvalue() == HEADER + "\n" + GOLDEN + "\n"
+
+    @pytest.mark.parametrize("fid, label", [
+        ('say "hi"', None),
+        ("back\\slash", "c\\0"),
+        ("tab\there", "nul\x00"),
+        ("caf\u00e9", "\u65e5\u672c"),
+        ("line\u2028sep", "para\u2029sep"),
+        ("emoji \U0001f600", "del\x7f"),
+    ], ids=["quote", "backslash", "control", "non-ascii", "u2028", "astral"])
+    def test_line_is_json_of_the_record(self, fid, label):
+        # the columns are spliced in as text after json.dumps of the rest
+        flow = make_flow(n=5, label=label, fid=fid)
+        want = json.dumps({
+            "v": 2, "id": fid,
+            "tuple": {"src": "10.0.0.1", "dst": "10.0.0.2", "sport": 1234,
+                      "dport": 443, "proto": "udp"},
+            "label": label,
+            "times": b64(flow.times, "<f8"),
+            "lengths": b64(flow.signed, "<i8")})
+        out = io.StringIO()
+        write_flows([flow], out)
+        assert out.getvalue() == HEADER + "\n" + want + "\n"
+        assert read_text(out.getvalue()) == [flow]
 
     # named for the v1 reader, whose messages these rules kept
     @pytest.mark.parametrize("times, lengths, message", [

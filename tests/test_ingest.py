@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from sampleflow.features import FEATURE_NAMES, stat_features
 from sampleflow.flows import FiveTuple
-from sampleflow.ingest import (DecodedPackets, DecodeStats,
-                               TruncatedCaptureError, UnsupportedFormatError,
-                               assemble_flows, decode_packet, ingest_pcap,
-                               parse_pcap)
+from sampleflow.ingest import (PCAP_GLOBAL_HEADER_LEN, DecodedPackets,
+                               DecodeStats, TruncatedCaptureError,
+                               UnsupportedFormatError, assemble_flows,
+                               decode_packet, ingest_pcap, parse_pcap)
 from tests import ingest_reference as ref
 from tests import pcaputil as pc
 
@@ -391,3 +391,124 @@ class TestIngestMatchesReference:
         assert ingest_pcap(pc.pcap(frames), min_packets=1, stats=stats) == []
         assert list(stats.skipped.items()) == \
             [("non-tcp-udp", 1), ("malformed", 2), ("non-ipv4", 1)]
+
+
+def _reference_outcome(data):
+    """ingest_pcap's flows, their times' bytes, its decoded count and its
+    skip counts, and the same of the reference."""
+    stats = DecodeStats()
+    got = ingest_pcap(data, idle_timeout=_TIMEOUT_S, min_packets=1,
+                      stats=stats)
+    want, decoded, skipped = ref.ingest(data, idle_timeout=_TIMEOUT_S)
+    return ((got, [f.times.tobytes() for f in got], stats.decoded,
+             list(stats.skipped.items())),
+            (want, [f.times.tobytes() for f in want], decoded,
+             list(skipped.items())))
+
+
+class TestGatherPaths:
+    """Each path of the row gathers and of the time-order check, named, so
+    that none is left to the fuzz tests to reach by chance."""
+
+    def test_last_records_fixed_bytes_run_past_capture(self):
+        # a 14-byte ARP frame and a 3-byte frame end the capture: the 34
+        # fixed bytes of each run past its end, and only bytes inside each
+        # frame may decide its skip reason
+        frames = [(pc.udp_frame("10.0.0.1", "10.0.0.2", 1000, 443, 50), 0.0),
+                  (pc.ethernet(b"", ethertype=0x0806), 0.1),
+                  (b"\x08\x00\x45", 0.2)]
+        data = pc.pcap(frames)
+        [block] = parse_pcap(data)
+        assert (block.start[1:] + 34 > len(data)).all()
+        got, want = _reference_outcome(data)
+        assert got == want
+        assert got[2:] == (1, [("non-ipv4", 1), ("malformed", 1)])
+
+    @pytest.mark.parametrize("frame, skipped", [
+        (None, []),
+        (b"", [("malformed", 1)]),
+        (b"\x00" * 13, [("malformed", 1)]),
+        (pc.ethernet(b"\x45\x00\x00"), [("malformed", 1)]),
+        (pc.ethernet(b"\x00\x01\x08", ethertype=0x0806), [("non-ipv4", 1)]),
+    ], ids=["no record", "empty frame", "13 bytes", "short IPv4", "ARP"])
+    def test_capture_shorter_than_fixed_bytes(self, frame, skipped):
+        # fewer than 34 bytes follow the global header
+        data = pc.pcap([] if frame is None else [(frame, 1.5)])
+        assert len(data) - PCAP_GLOBAL_HEADER_LEN < 34
+        got, want = _reference_outcome(data)
+        assert got == want
+        assert got == ([], [], 0, skipped)
+
+    @staticmethod
+    def _conversations(stamps):
+        """One packet a stamp, over three conversations in both directions
+        and both protocols."""
+        ends = [("10.0.0.1", 1000, "10.0.0.2", 443, "udp"),
+                ("10.0.0.2", 443, "10.0.0.1", 1000, "udp"),
+                ("192.168.1.5", 5353, "10.0.0.9", 53, "tcp"),
+                ("10.0.0.1", 1000, "10.0.0.2", 443, "tcp"),
+                ("10.0.0.9", 53, "192.168.1.5", 5353, "tcp")]
+        frames = []
+        for i, ts in enumerate(stamps):
+            src, sport, dst, dport, proto = ends[i % len(ends)]
+            make = pc.udp_frame if proto == "udp" else pc.tcp_frame
+            frames.append((make(src, dst, sport, dport, 10 + i % 7), ts))
+        return pc.pcap(frames)
+
+    def test_in_order_capture_sorts_no_time(self, monkeypatch):
+        # time order in every conversation, idle gaps and equal stamps
+        stamps = np.cumsum([0.1, 0.0, 0.2, 0.7, 0.0, 0.3, 0.6, 0.1, 0.45,
+                            0.05, 0.0, 0.9, 0.2, 0.1, 0.3] * 3).tolist()
+        data = self._conversations(stamps)
+        got, want = _reference_outcome(data)
+        assert got == want
+        assert sum(len(f) for f in got[0]) == len(stamps)
+        assert len(got[0]) > 5  # the gaps split conversations
+        # the running maximum by timestamp rank is not taken
+        [block] = parse_pcap(data)
+        packets = decode_packet(block)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", refuse)
+        assert assemble_flows(packets, idle_timeout=_TIMEOUT_S,
+                              min_packets=1) == got[0]
+
+    def test_out_of_order_capture_sorted_by_time(self, monkeypatch):
+        # a stamp earlier than the one before it in a conversation, and one
+        # that lands after an idle gap
+        stamps = [0.0, 0.1, 0.2, 0.3, 0.4, 0.25, 0.5, 0.55, 0.6, 0.7,
+                  2.0, 1.0, 2.1, 2.2, 1.95, 2.3]
+        data = self._conversations(stamps)
+        got, want = _reference_outcome(data)
+        assert got == want
+        [block] = parse_pcap(data)
+        packets = decode_packet(block)
+        calls = []
+        unique = np.unique
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted)
+        assert assemble_flows(packets, idle_timeout=_TIMEOUT_S,
+                              min_packets=1) == got[0]
+        assert calls
+
+    @settings(max_examples=200, deadline=None)
+    @given(_captures(), st.floats(0, 1))
+    def test_cut_capture_lengths_are_incl_len(self, capture, share):
+        # a frame's length is the distance to the next record header, less
+        # the header: its incl_len field, which only the offset walk reads
+        data = capture[0][:int(len(capture[0]) * share)]
+        try:
+            [block] = parse_pcap(data)
+        except TruncatedCaptureError:
+            return
+        order = ref._MAGICS[struct.unpack_from("<I", data)[0]][0]
+        incl_len = [struct.unpack_from(order + "I", data, start - 8)[0]
+                    for start in block.start.tolist()]
+        assert block.length.dtype == np.int64
+        assert block.length.tolist() == incl_len

@@ -435,6 +435,23 @@ class TestSampledCopies:
         if not isinstance(sampling, Random):
             assert (flow_of == 1).sum() == 1  # one partial copy
 
+    @pytest.mark.parametrize("sampling", [Fixed(2), Incremental(2, 1.2, 3)],
+                             ids=["fixed", "incremental"])
+    def test_generator_derived_only_for_random(self, sampling, monkeypatch):
+        # fixed and incremental sampling draw nothing, so deriving a flow's
+        # generator (a SHA-256 and a new Generator) would be wasted
+        flows = [make_flow("g0", n=70, seed=1), make_flow("g1", n=90, seed=2)]
+        cfg = tiny_config(sampling=sampling, copies=6)
+        want_x, want_flow_of = concatenated_build(flows, cfg)
+
+        def refuse(seed, flow_id):
+            raise AssertionError("derive_rng called")
+
+        monkeypatch.setattr(pipeline, "derive_rng", refuse)
+        x, flow_of = _sampled_copies(flows, cfg)
+        assert x.tobytes() == want_x.tobytes()
+        assert flow_of.tobytes() == want_flow_of.tobytes()
+
     def test_peak_memory_near_returned_bytes(self):
         # the build holds its inputs once, not once in a list and once
         # concatenated (about 1.8x the returned bytes at window 45)
