@@ -187,7 +187,7 @@ def cmd_retrain(args) -> int:
     in_path = Path(args.flows)
     inputs = manifest.Inputs(model_path, in_path)
     pretrained, meta = load_checkpoint(model_path)
-    cfg = _load_config(args, fallback=meta.get("train_config"))
+    cfg = _load_config(args, fallback=meta["train_config"])
     classes = args.classes.split(",")
     flow_list = flows.read_flows(in_path)
     if args.no_transfer:
@@ -210,13 +210,11 @@ def cmd_evaluate(args) -> int:
     in_path = Path(args.flows)
     inputs = manifest.Inputs(model_path, in_path)
     model, meta = load_checkpoint(model_path)
-    if meta["kind"] != "classifier" or "train_config" not in meta \
-            or meta.get("classes") is None:
+    if meta["kind"] != "classifier":
         raise CheckpointError(f"{model_path} is not a classifier checkpoint")
     cfg = pipeline.TrainConfig.from_dict(meta["train_config"])
-    classes = meta["classes"]
     flow_list = flows.read_flows(in_path)
-    report = pipeline.evaluate(model, flow_list, classes, cfg)
+    report = pipeline.evaluate(model, flow_list, meta["classes"], cfg)
     digests = inputs.digests()
     payload = report.to_dict()
     payload["manifest"] = {

@@ -14,12 +14,12 @@ DIRECTIONS = ("fwd", "bwd", "both")
 QUANTITIES = ("len", "iat")
 STATISTICS = ("min", "max", "mean", "std")
 
-# canonical order: index = dir*8 + qty*4 + stat
+# canonical order: index = dir*8 + qty*4 + stat; a change to it, or to how
+# input_matrix encodes a window, bumps neural.network.CHECKPOINT_VERSION
 FEATURE_NAMES = tuple(f"f_{d}_{q}_{s}"
                       for d in DIRECTIONS for q in QUANTITIES
                       for s in STATISTICS)
 NUM_FEATURES = len(FEATURE_NAMES)
-FEATURE_ORDER_VERSION = 1
 
 
 class InconsistentSampleError(DataError):

@@ -116,6 +116,11 @@ class Flow:
         Flow(**{**self.__dict__, name: value})
         self.__dict__[name] = value
 
+    def __reduce__(self):
+        # a copy or an unpickled flow is built, checked and read-only as new
+        return Flow, (self.id, self.five_tuple, self.times, self.signed,
+                      self.label)
+
     def __len__(self) -> int:
         return len(self.times)
 

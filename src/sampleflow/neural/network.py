@@ -6,7 +6,6 @@ import copy
 import io
 import json
 import zipfile
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +14,7 @@ from .. import DataError
 from .layers import (BatchNorm1d, Conv1d, Dense, Flatten, Layer, MaxPool1d,
                      Param, ReLU, ShapeError)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # fixed architecture constants
 CONV_FILTERS = (32, 32, 64)
@@ -170,19 +169,13 @@ def _assert_shapes(net: Network, window: int, out_features: int) -> None:
 
 
 def build_regressor(window: int) -> Network:
-    net = _build(window, REGRESSION_OUTPUTS)
-    net.meta = {"kind": "regressor", "window": window,
-                "num_outputs": REGRESSION_OUTPUTS}
-    return net
+    return _build(window, REGRESSION_OUTPUTS)
 
 
 def build_classifier(window: int, num_classes: int) -> Network:
     if num_classes < 1:
         raise ValueError("num_classes must be >= 1")
-    net = _build(window, num_classes)
-    net.meta = {"kind": "classifier", "window": window,
-                "num_outputs": num_classes}
-    return net
+    return _build(window, num_classes)
 
 
 def init_params(net: Network, seed: int) -> Network:
@@ -250,10 +243,11 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
     with open(path, "rb") as fh:
         try:
             with np.load(fh, allow_pickle=False) as npz:
+                # only ZIP_STORED (0) entries: others could fail to inflate
+                if any(info.compress_type for info in npz.zip.infolist()):
+                    raise zipfile.BadZipFile("compressed entries")
                 arrays = {name: npz[name] for name in npz.files}
-        # zlib.error: a corrupt entry in a deflated file of earlier versions
-        except (OSError, EOFError, ValueError, zipfile.BadZipFile,
-                zlib.error) as exc:
+        except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
             raise CheckpointError(f"{path}: not a checkpoint file ({exc})") \
                 from exc
 
@@ -270,23 +264,31 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
 
     try:
         meta = json.loads(bytes(arrays["meta"]).decode())
-        version = meta.get("checkpoint_version")
+        version = meta.pop("checkpoint_version", None)
     except (KeyError, ValueError, AttributeError) as exc:
         raise CheckpointError(f"{path}: unreadable metadata ({exc!r})") \
             from exc
-    if version != CHECKPOINT_VERSION:
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version "
-                              f"{version}")
-    kind = meta.get("kind")
+                              f"{version!r}")
+    kind, config, classes = map(meta.get, ("kind", "train_config", "classes"))
     if kind not in ("regressor", "classifier"):
         raise CheckpointError(f"{path}: unknown checkpoint kind {kind!r}")
-    window, num_outputs = meta.get("window"), meta.get("num_outputs")
-    if not all(type(v) is int and v > 0 for v in (window, num_outputs)):
-        raise CheckpointError(f"{path}: bad metadata: window {window!r}, "
-                              f"num_outputs {num_outputs!r}: both must be "
-                              "integers >= 1")
-    # window and num_outputs fix the shapes of the head's first and last
-    # weights; compare those with the file before any layer is allocated
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: train_config {config!r:.60} is not an "
+                              "object")
+    window = config.get("window")
+    if type(window) is not int:
+        raise CheckpointError(f"{path}: bad metadata: train_config window "
+                              f"{window!r} is not an integer")
+    if kind == "classifier" and not (
+            isinstance(classes, list) and {type(c) for c in classes} == {str}
+            and len(set(classes)) == len(classes)):
+        raise CheckpointError(f"{path}: classes {classes!r:.60} is not a "
+                              "non-empty list of distinct names")
+    outputs = len(classes) if kind == "classifier" else REGRESSION_OUTPUTS
+    # window and the output count fix the shapes of the head's first and
+    # last weights; compare those with the file before any layer is allocated
     try:
         width = flatten_width(window)
     except ShapeError as exc:
@@ -294,21 +296,15 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
     first = len(_make_trunk())  # layer index of the head's first Dense
     for name, shape in ((f"p{first}_0", (width, HEAD_SIZES[0])),
                         (f"p{first + 2 * len(HEAD_SIZES)}_0",
-                         (HEAD_SIZES[-1], num_outputs))):
+                         (HEAD_SIZES[-1], outputs))):
         found = arrays[name].shape if name in arrays else "no array"
         if found != shape:
             raise CheckpointError(
-                f"{path}: bad metadata: window {window} and num_outputs "
-                f"{num_outputs} need {name!r} of shape {shape}, found {found}")
+                f"{path}: bad metadata: a {kind} of window {window} and "
+                f"{outputs} outputs needs {name!r} of shape {shape}, found "
+                f"{found}")
     net = build_regressor(window) if kind == "regressor" \
-        else build_classifier(window, num_outputs)
-    classes = meta.get("classes")
-    if kind == "classifier" and classes is not None and not (
-            isinstance(classes, list) and len(classes) == num_outputs
-            and all(isinstance(c, str) for c in classes)
-            and len(set(classes)) == num_outputs):
-        raise CheckpointError(f"{path}: classes {classes!r} is not a list of "
-                              f"{num_outputs} distinct names")
+        else build_classifier(window, outputs)
     for i, layer in enumerate(net.layers):
         for j, p in enumerate(layer.params()):
             take(f"p{i}_{j}", p.value)
@@ -318,7 +314,5 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
             if (layer.running_var < 0).any():
                 raise CheckpointError(f"{path}: array 'rv{i}' has a negative "
                                       "value; a variance is never below 0")
-    # "frozen" is a per-layer list that earlier versions wrote; it is dropped
-    net.meta.update({k: v for k, v in meta.items()
-                     if k not in ("checkpoint_version", "frozen")})
-    return net, meta
+    net.meta = meta
+    return net, net.meta

@@ -10,8 +10,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import DataError
-from .features import (FEATURE_ORDER_VERSION, input_matrix, normalize_targets,
-                       stat_features)
+from .features import input_matrix, normalize_targets, stat_features
 from .flows import Flow
 from .neural import (Adam, Network, build_classifier, build_regressor,
                      cross_entropy_loss, init_params, mse_loss, transfer_trunk)
@@ -264,8 +263,7 @@ def pretrain(unlabeled: list[Flow], cfg: TrainConfig
     net = init_params(build_regressor(cfg.window), cfg.seed)
     history = _train_network(net, x, y, mse_loss, cfg.pretrain_epochs, cfg,
                              shuffle_seed=cfg.seed + 1)
-    net.meta.update({"train_config": cfg.to_dict(),
-                     "feature_order_version": FEATURE_ORDER_VERSION})
+    net.meta = {"kind": "regressor", "train_config": cfg.to_dict()}
     return net, history
 
 
@@ -295,9 +293,8 @@ def _train_classifier(labeled: list[Flow], classes: list[str],
     # freezing applies only to a transferred trunk: record what was trained
     if pretrained is None:
         cfg = replace(cfg, freeze_trunk=False)
-    net.meta.update({"train_config": cfg.to_dict(), "classes": list(classes),
-                     "feature_order_version": FEATURE_ORDER_VERSION,
-                     "pretrained": pretrained is not None})
+    net.meta = {"kind": "classifier", "train_config": cfg.to_dict(),
+                "classes": list(classes), "pretrained": pretrained is not None}
     return net, history
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from numbers import Integral, Real
 from typing import Iterable, Union
 
@@ -67,13 +67,17 @@ class Incremental:
 SamplingSpec = Union[Fixed, Random, Incremental]
 
 
+# each method's spec class, and its keys in field order with their kinds
+_SPEC_KEYS = {"fixed": (Fixed, {"l": Integral}),
+              "random": (Random, {"p": Real}),
+              "incremental": (Incremental, {"l0": Integral, "alpha": Real,
+                                            "beta": Integral})}
+
+
 def spec_to_dict(spec: SamplingSpec) -> dict:
-    if isinstance(spec, Fixed):
-        return {"method": "fixed", "l": spec.step}
-    if isinstance(spec, Random):
-        return {"method": "random", "p": spec.probability}
-    return {"method": "incremental", "l0": spec.initial_step,
-            "alpha": spec.growth, "beta": spec.stage_len}
+    method, keys = next((method, keys) for method, (cls, keys)
+                        in _SPEC_KEYS.items() if isinstance(spec, cls))
+    return {"method": method, **dict(zip(keys, astuple(spec)))}
 
 
 def _field(d: dict, name: str, kind: type):
@@ -89,14 +93,13 @@ def _field(d: dict, name: str, kind: type):
 
 def spec_from_dict(d: dict) -> SamplingSpec:
     method = d["method"]
-    if method == "fixed":
-        return Fixed(_field(d, "l", Integral))
-    if method == "random":
-        return Random(_field(d, "p", Real))
-    if method == "incremental":
-        return Incremental(_field(d, "l0", Integral), _field(d, "alpha", Real),
-                           _field(d, "beta", Integral))
-    raise ValueError(f"unknown sampling method {method!r}")
+    if not isinstance(method, str) or method not in _SPEC_KEYS:
+        raise ValueError(f"unknown sampling method {method!r}")
+    cls, keys = _SPEC_KEYS[method]
+    unknown = set(d) - {"method", *keys}
+    if unknown:
+        raise ValueError(f"unknown {method} sampling keys {sorted(unknown)}")
+    return cls(*(_field(d, key, kind) for key, kind in keys.items()))
 
 
 def sample_indices(spec: SamplingSpec, start: int, flow_len: int, window: int,

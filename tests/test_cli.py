@@ -24,7 +24,7 @@ from sampleflow.neural import (CheckpointError, DegenerateBatchError,
                                load_checkpoint, save_checkpoint)
 from sampleflow.synth import generate
 from tests import pcaputil as pc
-from tests.test_neural import rewrite_meta_text
+from tests.test_neural import edit_meta
 
 
 def run(capsys, *argv):
@@ -646,7 +646,8 @@ class TestPipelineRoundTrip:
         model = pretrained_model(workspace) if command == "retrain" \
             else classifier_model(workspace)
         huge = tmp_path / "huge.ckpt"
-        rewrite_meta(model, huge, lambda meta: meta.update(window=10 ** 12))
+        rewrite_meta(model, huge,
+                     lambda meta: meta["train_config"].update(window=10 ** 12))
         out = tmp_path / "out"
         argv = ["--classes", "c0,c1", "--out"] if command == "retrain" \
             else ["--report"]
@@ -802,7 +803,8 @@ class TestPipelineRoundTrip:
                            "--flows", str(flows_path),
                            "--report", str(root / "bad.json"))
         assert code == 2
-        assert "classes" in err
+        # the class list gives the head's width, which the file's is not
+        assert "3 outputs needs 'p20_0' of shape (128, 3)" in err
 
     def test_evaluate_rejects_null_class_list(self, capsys, workspace):
         root, flows_path, _ = workspace
@@ -813,28 +815,83 @@ class TestPipelineRoundTrip:
                            "--flows", str(flows_path),
                            "--report", str(root / "null.json"))
         assert code == 2
-        assert "not a classifier checkpoint" in err
+        assert "classes None is not a non-empty list" in err
 
-    # earlier versions wrote a per-layer "frozen" list; it is ignored
-    @pytest.mark.parametrize("frozen", [None, [True] * 14 + [False] * 7],
-                             ids=["null", "list"])
-    def test_checkpoints_with_old_frozen_key(self, capsys, workspace, tmp_path,
-                                             frozen):
+    # each key a checkpoint must hold, missing or of the wrong type, and a
+    # file with the metadata that version 1 wrote
+    @pytest.mark.parametrize("edit,message", [
+        pytest.param(lambda m: m.update(checkpoint_version=1, window=10,
+                                        num_outputs=2,
+                                        feature_order_version=1),
+                     "unsupported checkpoint version 1", id="version-1"),
+        pytest.param(lambda m: m.pop("checkpoint_version"),
+                     "unsupported checkpoint version None",
+                     id="version-missing"),
+        pytest.param(lambda m: m.update(checkpoint_version="2"),
+                     "unsupported checkpoint version '2'",
+                     id="version-string"),
+        pytest.param(lambda m: m.update(checkpoint_version=2.0),
+                     "unsupported checkpoint version 2.0", id="version-float"),
+        pytest.param(lambda m: m.pop("kind"), "unknown checkpoint kind None",
+                     id="kind-missing"),
+        pytest.param(lambda m: m.update(kind=1), "unknown checkpoint kind 1",
+                     id="kind-number"),
+        pytest.param(lambda m: m.pop("train_config"),
+                     "train_config None is not an object",
+                     id="train_config-missing"),
+        pytest.param(lambda m: m.update(train_config=[]),
+                     "train_config [] is not an object",
+                     id="train_config-list"),
+        pytest.param(lambda m: m["train_config"].pop("window"),
+                     "bad metadata: train_config window None is not an "
+                     "integer",
+                     id="window-missing"),
+        pytest.param(lambda m: m["train_config"].update(window="10"),
+                     "bad metadata: train_config window '10' is not an "
+                     "integer",
+                     id="window-string"),
+        pytest.param(lambda m: m.pop("classes"),
+                     "classes None is not a non-empty list of distinct names",
+                     id="classes-missing"),
+        pytest.param(lambda m: m.update(classes="c0,c1"),
+                     "classes 'c0,c1' is not a non-empty list of "
+                     "distinct names",
+                     id="classes-string"),
+    ])
+    @pytest.mark.parametrize("command", ["retrain", "evaluate"])
+    def test_checkpoint_schema_refused(self, capsys, workspace, tmp_path,
+                                       command, edit, message):
         _, flows_path, _ = workspace
+        model, out = tmp_path / "bad.ckpt", tmp_path / "out"
+        model.write_bytes(classifier_model(workspace).read_bytes())
+        edit_meta(model, edit)
+        capsys.readouterr()  # what making the workspace's models printed
+        argv = ["--classes", "c0,c1", "--out"] if command == "retrain" \
+            else ["--report"]
+        code, stdout, err = run(capsys, "--quiet", command, "--model",
+                                str(model), "--flows", str(flows_path),
+                                *argv, str(out))
+        assert code == 2
+        assert err == f"error: {model}: {message}\n"
+        assert "Traceback" not in err and stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ckpt"]
 
-        def add_key(text):
-            return json.dumps({**json.loads(text), "frozen": frozen})
-
-        old_pre, clf = tmp_path / "old_pre.ckpt", tmp_path / "clf.ckpt"
-        old_pre.write_bytes(pretrained_model(workspace).read_bytes())
-        rewrite_meta_text(old_pre, add_key)
-        assert main(["--quiet", "retrain", "--model", str(old_pre),
-                     "--flows", str(flows_path), "--classes", "c0,c1",
-                     "--out", str(clf)]) == 0
-        assert clf.read_bytes() == classifier_model(workspace).read_bytes()
-        want = evaluate_report(clf, flows_path, tmp_path / "want.json")
-        rewrite_meta_text(clf, add_key)
-        assert evaluate_report(clf, flows_path, tmp_path / "got.json") == want
+    @pytest.mark.parametrize("sampling,unknown", [
+        ({"method": "random", "p": 0.1, "l": 5}, "['l']"),
+        ({"method": "fixed", "l": 2, "betta": 1}, "['betta']")],
+        ids=["random-l", "fixed-betta"])
+    def test_config_unknown_sampling_key(self, capsys, workspace, tmp_path,
+                                         sampling, unknown):
+        _, flows_path, cfg_path = workspace
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.ckpt"
+        cfg.write_text(json.dumps({**json.loads(cfg_path.read_text()),
+                                   "sampling": sampling}))
+        code, _, err = run(capsys, "pretrain", "--flows", str(flows_path),
+                           "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert f"sampling keys {unknown}" in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,label", [
         ("retrain", ["x"]), ("evaluate", ["x"]), ("baseline-knn", ["x"]),

@@ -1,8 +1,10 @@
 import base64
+import copy
 import dataclasses
 import io
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -345,6 +347,36 @@ class TestFlowHoldsTheRules:
         with pytest.raises(AttributeError, match="cannot set 'cache'"):
             flow.cache = {}
         assert not hasattr(flow, "cache")
+
+    @pytest.mark.parametrize("duplicate", [
+        copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copies_read_only(self, duplicate):
+        # an in-place edit of a copy would write a record that read_flows
+        # refuses ("negative rel_time -5.0")
+        flow = make_flow(label="a")
+        dup = duplicate(flow)
+        assert dup == flow and type(dup) is Flow
+        with pytest.raises(ValueError, match="read-only"):
+            dup.times[1] = -5.0
+        with pytest.raises(ValueError, match="read-only"):
+            dup.signed[0] = 0
+        with pytest.raises(AttributeError, match="cannot set 'times'"):
+            dup.times = np.array([0.0, -5.0, 1.0])
+        assert roundtrip([dup]) == [flow]
+        dup.label = "b"  # rebinding a copy leaves the flow as it was
+        assert flow.label == "a"
+
+    def test_copy_of_damaged_flow_refused(self):
+        # pickled bytes of a flow whose times decrease: unpickling checks
+        # them as construction does
+        flow = make_flow()
+        data = pickle.dumps(flow)
+        good = np.array([0.0, 0.125, 0.25]).tobytes()
+        bad = np.array([0.0, 0.25, 0.125]).tobytes()
+        assert data.count(good) == 1
+        with pytest.raises(FlowFormatError, match="rel_time decreases"):
+            pickle.loads(data.replace(good, bad))
 
 
 def packet_rules(times, lengths):

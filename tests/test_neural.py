@@ -583,27 +583,66 @@ def rewrite_meta_text(path, edit):
         {"meta.npy": np.frombuffer(text.encode(), dtype=np.uint8)}))
 
 
+def with_meta(net, kind, classes=None):
+    """net, with the meta that pretrain (kind "regressor") or retrain (kind
+    "classifier") gives a network of window 45."""
+    config = TrainConfig(sampling=Fixed(1), seed=0, window=45).to_dict()
+    net.meta = {"kind": kind, "train_config": config}
+    if kind == "classifier":
+        net.meta.update(classes=list(classes), pretrained=True)
+    return net
+
+
+def regressor(seed=0):
+    return with_meta(init_params(build_regressor(45), seed), "regressor")
+
+
+def classifier(classes=("c0", "c1", "c2"), seed=0):
+    return with_meta(init_params(build_classifier(45, len(classes)), seed),
+                     "classifier", classes)
+
+
+def edit_meta(path, edit):
+    """Apply edit(meta) to the decoded JSON meta of a checkpoint file."""
+    def rewrite(text):
+        meta = json.loads(text)
+        edit(meta)
+        return json.dumps(meta)
+    rewrite_meta_text(path, rewrite)
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
-        net = init_params(build_classifier(45, 4), 5)
+        net = classifier(["a", "b", "c", "d"], seed=5)
         net.train()
         net.forward(np.random.default_rng(0).standard_normal((8, 2, 45)))
-        net.meta["classes"] = ["a", "b", "c", "d"]
         path = tmp_path / "model.ckpt"
         save_checkpoint(net, path)
         loaded, meta = load_checkpoint(path)
         assert meta["classes"] == ["a", "b", "c", "d"]
-        assert loaded.meta == net.meta
+        assert meta is loaded.meta and loaded.meta == net.meta
         x = np.random.default_rng(1).standard_normal((2, 2, 45))
         net.eval(), loaded.eval()
         np.testing.assert_array_equal(net.forward(x), loaded.forward(x))
 
     def test_version_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(init_params(build_regressor(45), 0), path)
+        save_checkpoint(regressor(), path)
         rewrite_meta_text(path, lambda t: json.dumps(
             {**json.loads(t), "checkpoint_version": 99}))
         with pytest.raises(ValueError, match="version"):
+            load_checkpoint(path)
+
+    def test_version_1_file_refused(self, tmp_path):
+        # the metadata version 1 wrote: window and num_outputs beside
+        # train_config, and a feature_order_version
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(classifier(), path)
+        edit_meta(path, lambda m: m.update(
+            checkpoint_version=1, window=45, num_outputs=3,
+            feature_order_version=1))
+        with pytest.raises(CheckpointError,
+                           match="unsupported checkpoint version 1$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("damage", [lambda b: b[:len(b) // 2],
@@ -611,42 +650,66 @@ class TestCheckpoint:
                              ids=["truncated", "garbage"])
     def test_unreadable_file(self, tmp_path, damage):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(init_params(build_regressor(45), 0), path)
+        save_checkpoint(regressor(), path)
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(CheckpointError, match="not a checkpoint"):
             load_checkpoint(path)
 
     def test_missing_array(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(init_params(build_regressor(45), 0), path)
+        save_checkpoint(regressor(), path)
         rewrite_checkpoint(path, lambda m: m.pop("p3_0.npy"))
         with pytest.raises(CheckpointError, match="p3_0"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("change", [{"num_outputs": 0}, {"window": 5},
-                                        {"kind": "ranker"}],
-                             ids=["no-outputs", "window-too-small",
-                                  "unknown-kind"])
-    def test_bad_structure_metadata(self, tmp_path, change):
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda m: m.update(classes=[]), "ckpt: classes",
+                     id="no-outputs"),
+        pytest.param(lambda m: m["train_config"].update(window=5),
+                     "bad metadata", id="window-too-small"),
+        pytest.param(lambda m: m.update(kind="ranker"), "kind",
+                     id="unknown-kind"),
+        pytest.param(lambda m: m.pop("classes"), "ckpt: classes None",
+                     id="no-classes"),
+        pytest.param(lambda m: m["train_config"].pop("window"),
+                     "train_config window None", id="no-window")])
+    def test_bad_structure_metadata(self, tmp_path, edit, message):
         path = tmp_path / "m.ckpt"
-        net = init_params(build_classifier(45, 3), 0)
-        net.meta.update(change)
-        save_checkpoint(net, path)
-        with pytest.raises(CheckpointError, match="bad metadata|kind"):
+        save_checkpoint(classifier(), path)
+        edit_meta(path, edit)
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("kind", ["regressor", "classifier"])
+    @pytest.mark.parametrize("config", [None, [], "fixed", 45], ids=[
+        "missing", "list", "string", "number"])
+    def test_train_config_not_object(self, tmp_path, kind, config):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(regressor() if kind == "regressor" else classifier(),
+                        path)
+        edit_meta(path, lambda m: m.pop("train_config") if config is None
+                  else m.update(train_config=config))
+        with pytest.raises(CheckpointError,
+                           match="train_config .* is not an object"):
+            load_checkpoint(path)
+
+    # the head of a 45-wide classifier is 3 wide: a shorter or longer list
+    # does not fit it
     @pytest.mark.parametrize("classes", [["c0", "c1"],
                                          ["c0", "c1", "c2", "c3"],
                                          ["c0", "c1", "c1"], ["c0", "c1", 2],
-                                         "c0c1c2"],
+                                         "c0c1c2", [], None, 3.0, True,
+                                         {"c0": 0}],
                              ids=["short", "long", "duplicate", "non-string",
-                                  "not-a-list"])
+                                  "not-a-list", "empty", "null", "number",
+                                  "true", "object"])
     def test_bad_classes(self, tmp_path, classes):
         path = tmp_path / "m.ckpt"
-        net = init_params(build_classifier(45, 3), 0)
-        net.meta["classes"] = classes
-        save_checkpoint(net, path)
-        with pytest.raises(CheckpointError, match="classes"):
+        save_checkpoint(classifier(), path)
+        edit_meta(path, lambda m: m.update(classes=classes))
+        with pytest.raises(CheckpointError,
+                           match=r"ckpt: classes .* is not a non-empty list"
+                                 r"|and \d outputs needs 'p20_0'"):
             load_checkpoint(path)
 
     # (32, 2, 1) would broadcast into the (32, 2, 5) first conv weight
@@ -656,83 +719,82 @@ class TestCheckpoint:
                              ids=["wrong-shape", "non-finite", "strings"])
     def test_invalid_array(self, tmp_path, bad):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(init_params(build_regressor(45), 0), path)
+        save_checkpoint(regressor(), path)
         rewrite_checkpoint(path, lambda m: m.update({"p0_0.npy": bad}))
         with pytest.raises(CheckpointError, match="p0_0"):
             load_checkpoint(path)
 
+    # the window is train_config's; nothing else stores one
     @pytest.mark.parametrize("field,value", [
         ("window", "1e400"), ("window", "45.0"), ("window", '"45"'),
-        ("window", "true"), ("window", "null"), ("num_outputs", "1e400"),
-        ("num_outputs", "3.0"), ("num_outputs", '"3"'),
-        ("num_outputs", "true")])
+        ("window", "true"), ("window", "null")])
     def test_integer_fields(self, tmp_path, field, value):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(init_params(build_classifier(45, 3), 0), path)
-        rewrite_meta_text(path, lambda t: t.replace(
-            f'"{field}": {45 if field == "window" else 3}',
-            f'"{field}": {value}'))
-        with pytest.raises(CheckpointError, match=f"bad metadata.*{field}"):
+        save_checkpoint(classifier(), path)
+        assert saved_meta_text(path).count(f'"{field}": 45') == 1
+        rewrite_meta_text(path, lambda t: t.replace(f'"{field}": 45',
+                                                    f'"{field}": {value}'))
+        with pytest.raises(CheckpointError,
+                           match="bad metadata: train_config window"):
             load_checkpoint(path)
 
+    # "window" is train_config's window; "num_outputs" builds the file's
+    # network with that many outputs, which its kind and classes do not give
     @pytest.mark.parametrize("kind, field, value", [
         ("classifier", "window", 10 ** 12),
-        ("classifier", "num_outputs", 10 ** 12),
         ("classifier", "window", 54),
+        ("classifier", "num_outputs", 4),
         ("regressor", "num_outputs", 3)])
     def test_head_shapes_checked_before_build(self, tmp_path, kind, field,
                                               value):
         # building from a window of 10**12 would ask for petabytes
         path = tmp_path / "m.ckpt"
-        net = build_regressor(45) if kind == "regressor" \
-            else build_classifier(45, 3)
-        net.meta[field] = value
-        save_checkpoint(init_params(net, 0), path)
-        with pytest.raises(CheckpointError, match="bad metadata.*need 'p"):
+        outputs = value if field == "num_outputs" else 3
+        net = with_meta(init_params(build_classifier(45, outputs), 0), kind,
+                        ["c0", "c1", "c2"])
+        if field == "window":
+            net.meta["train_config"]["window"] = value
+        save_checkpoint(net, path)
+        with pytest.raises(CheckpointError, match="bad metadata.*needs 'p"):
             load_checkpoint(path)
 
     def test_frozen_flags_not_saved(self, tmp_path):
+        # the metadata of every checkpoint kind holds each fact once
         _, net = frozen_retrain()
         path = tmp_path / "m.ckpt"
         save_checkpoint(net, path)
-        assert "frozen" not in json.loads(saved_meta_text(path))
+        assert list(json.loads(saved_meta_text(path))) == [
+            "checkpoint_version", "kind", "train_config", "classes",
+            "pretrained"]
+        save_checkpoint(regressor(), path)
+        assert list(json.loads(saved_meta_text(path))) == [
+            "checkpoint_version", "kind", "train_config"]
 
-    # earlier versions wrote a per-layer "frozen" list (21 layers)
-    @pytest.mark.parametrize("frozen", [None, [True] * 14 + [False] * 7],
-                             ids=["null", "list"])
-    def test_old_frozen_key_dropped(self, tmp_path, frozen):
-        net = init_params(build_classifier(45, 3), 4)
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(net, path)
-        rewrite_meta_text(path, lambda t: json.dumps(
-            {**json.loads(t), "frozen": frozen}))
-        loaded, _ = load_checkpoint(path)
-        assert loaded.meta == net.meta
-        x = np.random.default_rng(2).standard_normal((3, 2, 45))
-        net.eval(), loaded.eval()
-        np.testing.assert_array_equal(net.forward(x), loaded.forward(x))
-
-    def test_deflated_checkpoint_loads(self, tmp_path):
-        # earlier versions deflated every entry
+    def test_compressed_checkpoint_refused(self, tmp_path):
+        # a deflated entry could fail to inflate part way; a damaged one
+        # is refused the same way as an intact one
         stored, deflated = tmp_path / "s.ckpt", tmp_path / "d.ckpt"
-        save_checkpoint(init_params(build_classifier(45, 3), 1), stored)
+        save_checkpoint(classifier(seed=1), stored)
         with zipfile.ZipFile(stored) as src, \
                 zipfile.ZipFile(deflated, "w", zipfile.ZIP_DEFLATED) as dst:
             for name in src.namelist():
                 dst.writestr(name, src.read(name))
-        a, meta_a = load_checkpoint(stored)
-        b, meta_b = load_checkpoint(deflated)
-        assert meta_a == meta_b
-        for pa, pb in zip(a.params(), b.params()):
-            np.testing.assert_array_equal(pa.value, pb.value)
-        for la, lb in zip(a.layers, b.layers):
-            if isinstance(la, BatchNorm1d):
-                np.testing.assert_array_equal(la.running_mean, lb.running_mean)
-                np.testing.assert_array_equal(la.running_var, lb.running_var)
+        with pytest.raises(CheckpointError,
+                           match="not a checkpoint file .compressed entries"):
+            load_checkpoint(deflated)
+        data = bytearray(deflated.read_bytes())
+        with zipfile.ZipFile(deflated) as zf:
+            info = zf.getinfo("p14_0.npy")
+        # the first bytes of the deflate stream, past the local header
+        at = info.header_offset + 30 + len(info.filename) + 2
+        data[at:at + 8] = bytes(8)
+        deflated.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="not a checkpoint"):
+            load_checkpoint(deflated)
 
     def test_flipped_byte_in_stored_array(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(init_params(build_regressor(45), 0), path)
+        save_checkpoint(regressor(), path)
         with zipfile.ZipFile(path) as zf:
             assert {i.compress_type for i in zf.infolist()} == \
                 {zipfile.ZIP_STORED}
@@ -747,7 +809,7 @@ class TestCheckpoint:
     def test_deterministic_bytes(self, tmp_path):
         import hashlib
         import time
-        net = init_params(build_regressor(45), 3)
+        net = regressor(seed=3)
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(net, a)
         time.sleep(1.1)  # would change zip timestamps if they were live

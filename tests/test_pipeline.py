@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sampleflow import pipeline
-from sampleflow.features import (FEATURE_ORDER_VERSION, input_matrix,
-                                 normalize_targets, stat_features)
+from sampleflow.features import (input_matrix, normalize_targets,
+                                 stat_features)
 from sampleflow.flows import FiveTuple, Flow
 from sampleflow.neural import (Adam, BatchNorm1d, Conv1d, Dense, Network,
                                build_classifier, build_regressor, init_params,
@@ -611,15 +612,13 @@ class TestTrainingPipeline:
         labeled, _ = split_per_class(corpus, 2, seed=1)
         clf, _ = retrain(pre, labeled, classes, cfg)
         base, _ = train_supervised_baseline(labeled, classes, cfg)
-        assert pre.meta == {
-            "kind": "regressor", "window": 12, "num_outputs": 24,
-            "train_config": cfg.to_dict(),
-            "feature_order_version": FEATURE_ORDER_VERSION}
-        assert clf.meta == {
-            "kind": "classifier", "window": 12, "num_outputs": len(classes),
-            "train_config": cfg.to_dict(), "classes": classes,
-            "feature_order_version": FEATURE_ORDER_VERSION,
-            "pretrained": True}
+        # each fact once: the window is train_config's, and the output count
+        # follows from the kind and the classes
+        assert pre.meta == {"kind": "regressor",
+                            "train_config": cfg.to_dict()}
+        assert clf.meta == {"kind": "classifier",
+                            "train_config": cfg.to_dict(), "classes": classes,
+                            "pretrained": True}
         assert base.meta == {**clf.meta, "pretrained": False}
         # save, load and save again: the same meta and the same bytes
         first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
@@ -912,3 +911,15 @@ class TestTrainConfig:
             tiny_config(seed=-3)
         with pytest.raises(ConfigError, match="batch_size must be >= 2"):
             tiny_config(batch_size=1)
+
+    @pytest.mark.parametrize("sampling,unknown", [
+        ({"method": "random", "p": 0.1, "l": 5}, ["l"]),
+        ({"method": "fixed", "l": 2, "betta": 1}, ["betta"]),
+        ({"method": "incremental", "l0": 8, "alpha": 1.2, "beta": 10,
+          "p": 0.1, "gamma": 2}, ["gamma", "p"])],
+        ids=["random-l", "fixed-betta", "incremental-two"])
+    def test_unknown_sampling_keys_refused(self, sampling, unknown):
+        d = {**tiny_config().to_dict(), "sampling": sampling}
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"sampling keys {unknown}")):
+            TrainConfig.from_dict(d)
