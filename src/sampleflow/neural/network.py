@@ -51,10 +51,7 @@ class Network:
         return self.layers[:self.trunk_len]
 
     def params(self) -> list[Param]:
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
+        return [p for layer in self.layers for p in layer.params()]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         train = self.mode == "train"
@@ -132,9 +129,8 @@ def _make_trunk() -> list[Layer]:
 
 
 def flatten_width(window: int) -> int:
-    w = window           # conv layers preserve width (same padding, stride 1)
-    w = w // POOL_KERNEL
-    w = w // POOL_KERNEL
+    # conv layers preserve width (same padding, stride 1)
+    w = window // POOL_KERNEL // POOL_KERNEL
     if w < 1:
         raise ShapeError(f"window {window} too small for two pool-{POOL_KERNEL} "
                          "stages")
@@ -271,6 +267,12 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
     if type(version) is not int or version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version "
                               f"{version!r}")
+    # each fact is stored once: a second copy of one (a top-level window, an
+    # output count) could disagree with the first, so the file is refused
+    unknown = sorted(set(meta) - {"kind", "train_config", "classes",
+                                  "pretrained"})
+    if unknown:
+        raise CheckpointError(f"{path}: bad metadata: unknown keys {unknown}")
     kind, config, classes = map(meta.get, ("kind", "train_config", "classes"))
     if kind not in ("regressor", "classifier"):
         raise CheckpointError(f"{path}: unknown checkpoint kind {kind!r}")

@@ -724,18 +724,28 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="p0_0"):
             load_checkpoint(path)
 
-    # the window is train_config's; nothing else stores one
+    # the window is train_config's; nothing else stores one. The output
+    # count follows from kind and classes, so a num_outputs beside them is
+    # refused whatever its value, a valid 3 too
     @pytest.mark.parametrize("field,value", [
         ("window", "1e400"), ("window", "45.0"), ("window", '"45"'),
-        ("window", "true"), ("window", "null")])
+        ("window", "true"), ("window", "null"), ("num_outputs", "1e400"),
+        ("num_outputs", "3.0"), ("num_outputs", '"3"'),
+        ("num_outputs", "true"), ("num_outputs", "3")])
     def test_integer_fields(self, tmp_path, field, value):
         path = tmp_path / "m.ckpt"
         save_checkpoint(classifier(), path)
-        assert saved_meta_text(path).count(f'"{field}": 45') == 1
-        rewrite_meta_text(path, lambda t: t.replace(f'"{field}": 45',
-                                                    f'"{field}": {value}'))
-        with pytest.raises(CheckpointError,
-                           match="bad metadata: train_config window"):
+        if field == "window":
+            assert saved_meta_text(path).count('"window": 45') == 1
+            rewrite_meta_text(path, lambda t: t.replace(
+                '"window": 45', f'"window": {value}'))
+            message = "bad metadata: train_config window"
+        else:
+            assert "num_outputs" not in saved_meta_text(path)
+            rewrite_meta_text(path, lambda t: t.replace(
+                "{", f'{{"num_outputs": {value}, ', 1))
+            message = r"bad metadata: unknown keys \['num_outputs'\]$"
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
     # "window" is train_config's window; "num_outputs" builds the file's
