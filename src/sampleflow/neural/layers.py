@@ -4,8 +4,11 @@ Parameters and running stats are float64. A forward computes in its input's
 dtype, casting them to it, so a float32 input runs in float32 and a float64
 input does exactly float64 arithmetic.
 
-A forward with train=True keeps what backward needs in `_cache`; a forward
-with train=False keeps nothing, so backward after it raises RuntimeError.
+A forward with train=True keeps what backward needs in `_cache` (Conv1d its
+padded input, not its im2col matrix), and backward takes it and clears it:
+each train forward serves one backward, a second backward raises
+RuntimeError, and a trained network holds no activations. A forward with
+train=False keeps nothing, so backward after it raises RuntimeError too.
 
 The backward of a layer with parameters takes two more positional arguments,
 which a train step uses: `defer(fn, *args)` is handed the work that only
@@ -58,10 +61,13 @@ class Layer:
         raise NotImplementedError
 
     def _cached(self):
-        if self._cache is None:
+        """Take the train forward's cache; the layer keeps none after."""
+        cache, self._cache = self._cache, None
+        if cache is None:
             raise RuntimeError(f"{type(self).__name__}.backward needs a "
-                               "forward with train=True first")
-        return self._cache
+                               "forward with train=True first, one for "
+                               "each backward")
+        return cache
 
 
 class Conv1d(Layer):
@@ -72,6 +78,11 @@ class Conv1d(Layer):
     backward two. With the batch innermost, each tap of im2col and of col2im
     moves one contiguous block of W*N values per channel. The output is an
     [N, O, W] view of an [O, W, N] array.
+
+    A train forward keeps the padded input, about K times smaller than cols,
+    and the weight gradient copies cols from it again (`_add_grads`, the
+    work a train step queues on the worker thread) with the same copy as
+    forward, so dW is the same product of the same operands.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int):
@@ -94,21 +105,25 @@ class Conv1d(Layer):
         n, c, w = x.shape
         x_pad = np.zeros((c, w + 2 * self.pad, n), dtype=x.dtype)
         x_pad[:, self.pad:self.pad + w] = x.transpose(1, 2, 0)
-        # [C, K, N, W] windows -> [C, K, W, N] -> one (C*K, W*N) copy
-        cols = sliding_window_view(x_pad, w, axis=1).transpose(0, 1, 3, 2) \
-            .reshape(c * self.kernel, w * n)
         weight = self.weight.value.astype(x.dtype, copy=False)
-        y = weight.reshape(self.out_channels, -1) @ cols
+        y = weight.reshape(self.out_channels, -1) @ self._cols(x_pad)
         y += self.bias.value.astype(x.dtype, copy=False)[:, None]
-        self._cache = cols if train else None
+        self._cache = x_pad if train else None
         return y.reshape(self.out_channels, w, n).transpose(2, 0, 1)
 
+    def _cols(self, x_pad):
+        c, w_pad, n = x_pad.shape
+        w = w_pad - 2 * self.pad
+        # [C, K, N, W] windows -> [C, K, W, N] -> one (C*K, W*N) copy
+        return sliding_window_view(x_pad, w, axis=1).transpose(0, 1, 3, 2) \
+            .reshape(c * self.kernel, w * n)
+
     def backward(self, dy, defer=run_now, need_dx=True):
-        cols = self._cached()
+        x_pad = self._cached()
         n, o, w = dy.shape
         c, k = self.in_channels, self.kernel
         dy2 = dy.transpose(1, 2, 0).reshape(o, w * n)
-        defer(self._add_grads, dy2, cols)
+        defer(self._add_grads, dy2, x_pad)
         if not need_dx:
             return None
         dcols = (self.weight.value.reshape(o, -1).T @ dy2).reshape(c, k, w, n)
@@ -117,8 +132,9 @@ class Conv1d(Layer):
             dx_pad[:, j:j + w] += dcols[:, j]
         return dx_pad[:, self.pad:self.pad + w].transpose(2, 0, 1)
 
-    def _add_grads(self, dy2, cols):
-        self.weight.grad += (dy2 @ cols.T).reshape(self.weight.grad.shape)
+    def _add_grads(self, dy2, x_pad):
+        self.weight.grad += (dy2 @ self._cols(x_pad).T).reshape(
+            self.weight.grad.shape)
         self.bias.grad += dy2.sum(axis=1)
 
 

@@ -288,6 +288,16 @@ def load_checkpoint(path: str | Path) -> tuple[Network, dict]:
             and len(set(classes)) == len(classes)):
         raise CheckpointError(f"{path}: classes {classes!r:.60} is not a "
                               "non-empty list of distinct names")
+    # whether a classifier's trunk was transferred; a regressor is not trained
+    # from another network
+    if kind == "regressor" and "pretrained" in meta:
+        raise CheckpointError(f"{path}: bad metadata: a regressor has no "
+                              "pretrained key")
+    if kind == "classifier" and type(meta.get("pretrained")) is not bool:
+        found = f"{meta['pretrained']!r:.60}" if "pretrained" in meta \
+            else "missing"
+        raise CheckpointError(f"{path}: bad metadata: pretrained is {found}, "
+                              "not true or false")
     outputs = len(classes) if kind == "classifier" else REGRESSION_OUTPUTS
     # window and the output count fix the shapes of the head's first and
     # last weights; compare those with the file before any layer is allocated

@@ -857,6 +857,18 @@ class TestPipelineRoundTrip:
                      "classes 'c0,c1' is not a non-empty list of "
                      "distinct names",
                      id="classes-string"),
+        pytest.param(lambda m: m.pop("pretrained"),
+                     "bad metadata: pretrained is missing, not true or false",
+                     id="pretrained-missing"),
+        pytest.param(lambda m: m.update(pretrained=None),
+                     "bad metadata: pretrained is None, not true or false",
+                     id="pretrained-null"),
+        pytest.param(lambda m: m.update(pretrained=1),
+                     "bad metadata: pretrained is 1, not true or false",
+                     id="pretrained-number"),
+        pytest.param(lambda m: m.update(pretrained="true"),
+                     "bad metadata: pretrained is 'true', not true or false",
+                     id="pretrained-string"),
     ])
     @pytest.mark.parametrize("command", ["retrain", "evaluate"])
     def test_checkpoint_schema_refused(self, capsys, workspace, tmp_path,
@@ -873,6 +885,26 @@ class TestPipelineRoundTrip:
                                 *argv, str(out))
         assert code == 2
         assert err == f"error: {model}: {message}\n"
+        assert "Traceback" not in err and stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ckpt"]
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("command", ["retrain", "evaluate"])
+    def test_regressor_with_pretrained_key_refused(self, capsys, workspace,
+                                                   tmp_path, command, value):
+        _, flows_path, _ = workspace
+        model, out = tmp_path / "bad.ckpt", tmp_path / "out"
+        model.write_bytes(pretrained_model(workspace).read_bytes())
+        edit_meta(model, lambda m: m.update(pretrained=value))
+        capsys.readouterr()  # what making the workspace's models printed
+        argv = ["--classes", "c0,c1", "--out"] if command == "retrain" \
+            else ["--report"]
+        code, stdout, err = run(capsys, "--quiet", command, "--model",
+                                str(model), "--flows", str(flows_path),
+                                *argv, str(out))
+        assert code == 2
+        assert err == (f"error: {model}: bad metadata: a regressor has no "
+                       "pretrained key\n")
         assert "Traceback" not in err and stdout == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ckpt"]
 

@@ -64,6 +64,29 @@ class TestConv1d:
         assert_rel_close(layer.weight.grad, dw_ref)
         assert_rel_close(layer.bias.grad, db_ref)
 
+    @pytest.mark.parametrize("n", [1, 8], ids=["batch 1", "batch 8"])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_weight_grad_is_one_product_with_cols(self, k, n):
+        # backward keeps the padded input and copies cols from it again:
+        # dW must be the very product dy2 @ cols.T, bit for bit. At these
+        # sizes a product per tap rounds differently for k 3 and 5.
+        rng = np.random.default_rng(10 * k + n)
+        c, o, w = 32, 32, 45
+        layer = Conv1d(c, o, k)
+        layer.weight.value[...] = rng.standard_normal((o, c, k))
+        x = rng.standard_normal((n, c, w))
+        dy = rng.standard_normal((n, o, w))
+        layer.forward(x, True)
+        layer.backward(dy)
+        p = k // 2
+        x_pad = np.pad(x, ((0, 0), (0, 0), (p, p))).transpose(1, 2, 0)
+        cols = np.stack([x_pad[:, j:j + w] for j in range(k)], axis=1) \
+            .reshape(c * k, w * n)
+        dy2 = dy.transpose(1, 2, 0).reshape(o, w * n)
+        np.testing.assert_array_equal(layer.weight.grad,
+                                      (dy2 @ cols.T).reshape(o, c, k))
+        np.testing.assert_array_equal(layer.bias.grad, dy2.sum(axis=1))
+
     def test_identity_kernel(self):
         layer = Conv1d(1, 1, 1)
         layer.weight.value[...] = 1.0
@@ -203,7 +226,7 @@ class TestMaxPool:
         np.testing.assert_array_equal(dx, [[[0, 10, 0, 0, 0, 20, 0]]])
 
 
-@pytest.mark.parametrize("make, shape", [
+EACH_LAYER = pytest.mark.parametrize("make, shape", [
     (lambda: Conv1d(2, 3, 3), (4, 2, 5)),
     (lambda: BatchNorm1d(2), (4, 2, 5)),
     (lambda: MaxPool1d(3), (4, 2, 6)),
@@ -211,14 +234,32 @@ class TestMaxPool:
     (lambda: Flatten(), (4, 2, 5)),
     (lambda: Dense(5, 3), (4, 5)),
 ], ids=["Conv1d", "BatchNorm1d", "MaxPool1d", "ReLU", "Flatten", "Dense"])
+
+
+@EACH_LAYER
 def test_backward_after_eval_forward_raises(make, shape):
     layer = make()
     x = np.random.default_rng(0).standard_normal(shape)
     y = layer.forward(x, True)
     layer.backward(np.ones_like(y))  # a train forward keeps its cache
+    layer.forward(x, True)  # a cache for the eval forward to drop
     layer.forward(x, False)
     with pytest.raises(RuntimeError):
         layer.backward(np.ones_like(y))
+
+
+@EACH_LAYER
+def test_backward_consumes_the_cache(make, shape):
+    # each train forward serves one backward; the layer then holds nothing
+    layer = make()
+    x = np.random.default_rng(0).standard_normal(shape)
+    y = layer.forward(x, True)
+    layer.backward(np.ones_like(y))
+    assert layer._cache is None
+    with pytest.raises(RuntimeError, match="one for each backward"):
+        layer.backward(np.ones_like(y))
+    layer.forward(x, True)
+    layer.backward(np.ones_like(y))
 
 
 class TestDenseRelu:
@@ -672,7 +713,22 @@ class TestCheckpoint:
         pytest.param(lambda m: m.pop("classes"), "ckpt: classes None",
                      id="no-classes"),
         pytest.param(lambda m: m["train_config"].pop("window"),
-                     "train_config window None", id="no-window")])
+                     "train_config window None", id="no-window"),
+        pytest.param(lambda m: m.pop("pretrained"),
+                     "bad metadata: pretrained is missing,",
+                     id="no-pretrained"),
+        pytest.param(lambda m: m.update(pretrained=None),
+                     "bad metadata: pretrained is None, not true or false",
+                     id="pretrained-null"),
+        pytest.param(lambda m: m.update(pretrained=1),
+                     "bad metadata: pretrained is 1, not true or false",
+                     id="pretrained-one"),
+        pytest.param(lambda m: m.update(pretrained=0), "pretrained is 0,",
+                     id="pretrained-zero"),
+        pytest.param(lambda m: m.update(pretrained="true"),
+                     "pretrained is 'true',", id="pretrained-string"),
+        pytest.param(lambda m: m.update(pretrained=[True]),
+                     r"pretrained is \[True\],", id="pretrained-list")])
     def test_bad_structure_metadata(self, tmp_path, edit, message):
         path = tmp_path / "m.ckpt"
         save_checkpoint(classifier(), path)
@@ -710,6 +766,24 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError,
                            match=r"ckpt: classes .* is not a non-empty list"
                                  r"|and \d outputs needs 'p20_0'"):
+            load_checkpoint(path)
+
+    # a classifier records whether its trunk was transferred, as a JSON
+    # boolean; a regressor is trained from no other network
+    @pytest.mark.parametrize("pretrained", [True, False])
+    def test_classifier_pretrained_boolean_loads(self, tmp_path, pretrained):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(classifier(), path)
+        edit_meta(path, lambda m: m.update(pretrained=pretrained))
+        assert load_checkpoint(path)[1]["pretrained"] is pretrained
+
+    @pytest.mark.parametrize("pretrained", [True, False, None])
+    def test_regressor_with_pretrained_key(self, tmp_path, pretrained):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(regressor(), path)
+        edit_meta(path, lambda m: m.update(pretrained=pretrained))
+        with pytest.raises(CheckpointError, match="bad metadata: a regressor "
+                                                  "has no pretrained key$"):
             load_checkpoint(path)
 
     # (32, 2, 1) would broadcast into the (32, 2, 5) first conv weight

@@ -718,6 +718,52 @@ class TestTrainingPipeline:
         assert {lab for _, lab in stats} == set(self.classes(corpus))
 
 
+class TestTrainingMemory:
+    """Each train forward's cache serves one backward, so a trained network
+    holds no activations, and Conv1d keeps its padded input, not its im2col
+    matrix."""
+
+    @pytest.mark.parametrize("train", ["pretrain", "retrain", "freeze_trunk",
+                                       "baseline"])
+    def test_trained_network_holds_no_cache(self, corpus, train):
+        cfg = tiny_config(copies=4, window=12,
+                          freeze_trunk=train == "freeze_trunk")
+        classes = sorted({f.label for f in corpus})
+        pre, _ = pretrain(corpus, cfg)
+        if train == "pretrain":
+            nets = [pre]
+        elif train == "baseline":
+            nets = [train_supervised_baseline(corpus, classes, cfg)[0]]
+        else:
+            nets = [pre, retrain(pre, corpus, classes, cfg)[0]]
+        held = [(i, type(layer).__name__) for net in nets
+                for i, layer in enumerate(net.layers)
+                if layer._cache is not None]
+        assert held == []
+
+    def test_train_peak_memory_bounded(self):
+        # a regressor at batch 128 and window 45, 2 epochs of 256 copies:
+        # 23-25 MiB at the peak (18 MiB on one CPU) when the convs keep
+        # their padded inputs; 34 MiB when they kept their im2col matrices
+        # and every layer its last cache. After training nothing is held.
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((256, 2, 45))
+        y = rng.standard_normal((256, 24))
+        cfg = tiny_config(window=45, batch_size=128)
+        net = init_params(build_regressor(45), 1)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _train_network(net, x, y, mse_loss, 2, cfg, shuffle_seed=5)
+            held, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert peak <= 29 * 2 ** 20
+        assert held <= 2 ** 20
+        assert all(layer._cache is None for layer in net.layers)
+
+
 def folded_classifier(window=12, seed=4):
     """An eval-mode classifier with running statistics away from 0 and 1,
     and its batch-norm-folded copy."""
