@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import logging
 import sys
@@ -348,7 +349,30 @@ def build_parser() -> _Parser:
 DATA_ERRORS = (OSError, DataError)
 
 
+def _one_blas_thread() -> None:
+    """Run BLAS on one thread, so that a seeded command writes the same bits
+    on any number of cores: BLAS splits a large matrix product between its
+    threads, and the split changes the last bits. This reaches the OpenBLAS
+    that numpy's wheels bundle in numpy.libs; under any other BLAS it does
+    nothing."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            dll = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_set_num_threads64_",
+                       "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            set_threads = getattr(dll, symbol, None)
+            if set_threads is not None:
+                set_threads.argtypes = [ctypes.c_int]
+                set_threads(1)
+                return
+
+
 def main(argv: list[str] | None = None) -> int:
+    _one_blas_thread()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -10,11 +10,9 @@ each train forward serves one backward, a second backward raises
 RuntimeError, and a trained network holds no activations. A forward with
 train=False keeps nothing, so backward after it raises RuntimeError too.
 
-The backward of a layer with parameters takes two more positional arguments,
-which a train step uses: `defer(fn, *args)` is handed the work that only
-feeds parameter gradients (by default it runs at once), and need_dx=False
-skips the input gradient and returns None. Called with dy alone, it returns
-dx with the gradients complete.
+The backward of a layer with parameters adds its parameter gradients and
+returns dx. Its second, positional argument need_dx=False skips the input
+gradient and returns None, which a train step uses for its first layer.
 """
 
 from __future__ import annotations
@@ -31,10 +29,6 @@ class ShapeError(DataError):
 
 class DegenerateBatchError(ValueError):
     pass
-
-
-def run_now(fn, *args) -> None:
-    fn(*args)
 
 
 class Param:
@@ -80,9 +74,8 @@ class Conv1d(Layer):
     [N, O, W] view of an [O, W, N] array.
 
     A train forward keeps the padded input, about K times smaller than cols,
-    and the weight gradient copies cols from it again (`_add_grads`, the
-    work a train step queues on the worker thread) with the same copy as
-    forward, so dW is the same product of the same operands.
+    and backward copies cols from it again with the same copy as forward,
+    so dW is the same product of the same operands.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int):
@@ -118,12 +111,14 @@ class Conv1d(Layer):
         return sliding_window_view(x_pad, w, axis=1).transpose(0, 1, 3, 2) \
             .reshape(c * self.kernel, w * n)
 
-    def backward(self, dy, defer=run_now, need_dx=True):
+    def backward(self, dy, need_dx=True):
         x_pad = self._cached()
         n, o, w = dy.shape
         c, k = self.in_channels, self.kernel
         dy2 = dy.transpose(1, 2, 0).reshape(o, w * n)
-        defer(self._add_grads, dy2, x_pad)
+        self.weight.grad += (dy2 @ self._cols(x_pad).T).reshape(
+            self.weight.grad.shape)
+        self.bias.grad += dy2.sum(axis=1)
         if not need_dx:
             return None
         dcols = (self.weight.value.reshape(o, -1).T @ dy2).reshape(c, k, w, n)
@@ -131,11 +126,6 @@ class Conv1d(Layer):
         for j in range(k):  # col2im: tap j read x_pad[:, j:j + w]
             dx_pad[:, j:j + w] += dcols[:, j]
         return dx_pad[:, self.pad:self.pad + w].transpose(2, 0, 1)
-
-    def _add_grads(self, dy2, x_pad):
-        self.weight.grad += (dy2 @ self._cols(x_pad).T).reshape(
-            self.weight.grad.shape)
-        self.bias.grad += dy2.sum(axis=1)
 
 
 class BatchNorm1d(Layer):
@@ -185,8 +175,7 @@ class BatchNorm1d(Layer):
         y += self.beta.value[:, None]
         return y
 
-    def backward(self, dy, defer=run_now, need_dx=True):
-        """dx needs dgamma and dbeta, so they are summed here, not deferred."""
+    def backward(self, dy, need_dx=True):
         xhat, inv_std = self._cached()
         dgamma = (dy * xhat).sum(axis=(0, 2))
         dbeta = dy.sum(axis=(0, 2))
@@ -278,11 +267,8 @@ class Dense(Layer):
         return (x @ self.weight.value.astype(x.dtype, copy=False)
                 + self.bias.value.astype(x.dtype, copy=False))
 
-    def backward(self, dy, defer=run_now, need_dx=True):
+    def backward(self, dy, need_dx=True):
         x = self._cached()
-        defer(self._add_grads, x, dy)
-        return dy @ self.weight.value.T if need_dx else None
-
-    def _add_grads(self, x, dy):
         self.weight.grad += x.T @ dy
         self.bias.grad += dy.sum(axis=0)
+        return dy @ self.weight.value.T if need_dx else None

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .layers import Param
-from .worker import WORKER
 
 
 class Adam:
@@ -22,31 +21,16 @@ class Adam:
         # per-parameter scratch for the step, so that it allocates nothing
         self._num = [np.empty_like(p.value) for p in self.params]
         self._den = [np.empty_like(p.value) for p in self.params]
-        self._index = {id(p): i for i, p in enumerate(self.params)}
-        self._queued: set[int] = set()  # updates of the coming step, queued
 
     def zero_grad(self):
         for p in self.params:
             p.zero_grad()
 
-    def update_later(self, params: list[Param]) -> None:
-        """Queue the coming step's update of params on the worker thread,
-        behind the work queued for their gradients; step() waits for it."""
-        t = self.t + 1
-        for p in params:
-            i = self._index[id(p)]
-            self._queued.add(i)
-            WORKER.submit(self._update, i, t)
-
     def step(self):
-        """One bias-corrected update of every parameter, in place: wait for
-        the updates queued by update_later, then make the others."""
-        queued, self._queued = self._queued, set()
-        WORKER.wait()
+        """One bias-corrected update of every parameter, in place."""
         t = self.t + 1
         for i in range(len(self.params)):
-            if i not in queued:
-                self._update(i, t)
+            self._update(i, t)
         self.t = t
 
     def _update(self, i: int, t: int):

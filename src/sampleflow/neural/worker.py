@@ -1,19 +1,18 @@
-"""The one background thread that gives training, inference and input
-hashing a second core.
+"""The one background thread that gives inference and input hashing a
+second core.
 
-A train step's critical path is the forward pass, the loss and the chain of
-input gradients down the layers. The parameter gradients of `Conv1d` and
-`Dense` and the Adam updates only feed parameters, so the step queues them
-here and goes on down the layers while they run. An inference pass queues
-every other batch's forward here. Each task is a whole numpy call of the
-serial code with the same operands, and tasks run one at a time in the order
-queued, so every result is bit-identical to the serial code's. A command
-also queues the sha256 of each of its inputs here as it starts
-(`manifest.Inputs`), so an input is hashed while the command parses it.
-numpy releases the GIL in its loops and BLAS calls, and hashlib while it
-hashes, so the two threads use two cores even with BLAS pinned to one
-thread. A process that may run on one CPU only runs each task at once on
-the calling thread, since there two threads would only take turns.
+An inference pass queues every other batch's forward here. Each task is a
+whole numpy call of the serial code with the same operands, and tasks run
+one at a time in the order queued, so every result is bit-identical to the
+serial code's. A command also queues the sha256 of each of its inputs here
+as it starts (`manifest.Inputs`), so an input is hashed while the command
+parses it. numpy releases the GIL in its loops and BLAS calls, and hashlib
+while it hashes, so the two threads use two cores even with BLAS pinned to
+one thread. A process that may run on one CPU only runs each task at once
+on the calling thread, since there two threads would only take turns.
+
+A train step queues nothing here: with BLAS on one thread, running its
+parameter gradients and Adam updates here saved a step little or nothing.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ class Worker:
             with self._starting:
                 if self._thread is None:
                     self._thread = threading.Thread(
-                        target=self._run, name="sampleflow-train-worker",
+                        target=self._run, name="sampleflow-worker",
                         daemon=True)
                     self._thread.start()
         self._tasks.put((np.geterr(), np.geterrcall(), fn, args))
@@ -83,7 +82,7 @@ class Worker:
 
     def _call(self, err, call, fn, args):
         """Run one task; its arguments are let go when it returns, so an
-        idle worker keeps nothing of the last step alive."""
+        idle worker keeps nothing of the last task alive."""
         if self._error is not None:
             return
         try:

@@ -170,25 +170,12 @@ def build_classification_dataset(flows: list[Flow], classes: list[str],
     return x, codes[flow_of], flow_of
 
 
-def _backward(net: Network, dy: np.ndarray, optimizer: Adam) -> None:
-    """net.backward(dy) for a train step, on two threads.
-
-    The caller computes each layer's input gradient; each layer's parameter
-    gradients and Adam update are queued on the worker as soon as the caller
-    is done with the layer, and optimizer.step() waits for them. The first
-    layer's input gradient is not computed, since nothing reads it."""
-    try:
-        for i in range(len(net.layers) - 1, -1, -1):
-            layer = net.layers[i]
-            params = layer.params()
-            if not params:
-                dy = layer.backward(dy)
-                continue
-            dy = layer.backward(dy, WORKER.submit, i > 0)
-            optimizer.update_later(params)
-    except BaseException:
-        WORKER.cancel()
-        raise
+def _backward(net: Network, dy: np.ndarray) -> None:
+    """net.backward(dy) for a train step: the first layer's input gradient
+    is not computed, since nothing reads it."""
+    for layer in net.layers[:0:-1]:
+        dy = layer.backward(dy)
+    net.layers[0].backward(dy, False)
 
 
 def _forward_batches(net: Network, x: np.ndarray, dtype) -> list[np.ndarray]:
@@ -263,7 +250,7 @@ def _train_network(net: Network, x: np.ndarray, y: np.ndarray, loss_fn,
                 raise NonFiniteLossError(
                     f"training loss is {loss} at epoch {epoch + 1}/{epochs}, "
                     f"batch {batch + 1}; lower lr (now {cfg.lr})")
-            _backward(net, dpred, optimizer)
+            _backward(net, dpred)
             optimizer.step()
             losses.append(loss)
         mean_loss = float(np.mean(losses))

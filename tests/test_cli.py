@@ -21,7 +21,7 @@ from sampleflow.features import FEATURE_NAMES, stat_features
 from sampleflow.flows import read_flows, write_flows
 from sampleflow.neural import (CheckpointError, DegenerateBatchError,
                                ShapeError, build_classifier, init_params,
-                               load_checkpoint, save_checkpoint)
+                               load_checkpoint, save_checkpoint, worker)
 from sampleflow.synth import generate
 from tests import pcaputil as pc
 from tests.test_neural import edit_meta
@@ -1000,3 +1000,29 @@ def test_gradcheck_single_seed(capsys):
     assert code == 0
     assert "PASS" in stdout
     assert "FAIL" not in stdout
+
+
+@pytest.mark.skipif(worker._usable_cpus() < 2,
+                    reason="BLAS runs one thread on one CPU anyway")
+def test_pretrain_bits_do_not_depend_on_blas_threads(tmp_path):
+    # the CLI pins BLAS to one thread, so a run that leaves BLAS its
+    # default thread count writes the bits of one pinned by the environment
+    write_flows(generate(2, 3, seed=1), tmp_path / "c.flows")
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"sampling": {"method": "fixed", "l": 2}, "seed": 1, "copies": 20,
+         "pretrain_epochs": 1}))
+    src = str(Path(sampleflow.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    checkpoints = []
+    for pinned in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = tmp_path / f"pre{len(checkpoints)}.ckpt"
+        subprocess.run(
+            [sys.executable, "-m", "sampleflow.cli", "--quiet", "pretrain",
+             "--flows", "c.flows", "--config", "cfg.json", "--out", str(out)],
+            env={**env, **pinned}, cwd=tmp_path, check=True, timeout=300,
+            capture_output=True)
+        checkpoints.append(out.read_bytes())
+    assert checkpoints[0] == checkpoints[1]

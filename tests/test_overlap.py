@@ -1,16 +1,18 @@
-"""The two-thread train step against the serial schedule it replaces.
+"""The train step against the plain schedule, and the worker's contracts.
 
-`pipeline._train_network` runs each layer's parameter gradients and Adam
-update on the worker thread. The reference here is the serial schedule,
-`Network.backward` then `Adam.step`, written out on the test side. The
-worker runs its tasks on the calling thread where only one CPU is usable,
-so the tests of the threaded path set a CPU count of 2 (`two_cpus`).
+`pipeline._train_network` runs all of a step's work on the calling thread,
+skipping the first layer's input gradient. The reference here is the plain
+schedule, `Network.backward` then `Adam.step`, written out on the test side.
+
+The worker (`neural.worker.WORKER`) forwards alternate inference batches
+and hashes inputs. It runs its tasks on the calling thread where only one
+CPU is usable, so the tests of its thread set a CPU count of 2
+(`two_cpus`).
 """
 
 import gc
 import os
 import signal
-import sys
 import threading
 import time
 import warnings
@@ -21,12 +23,12 @@ import pytest
 
 from sampleflow import pipeline
 from sampleflow.neural import (Adam, BatchNorm1d, Conv1d, Dense, Network,
-                               Param, build_classifier, build_regressor,
+                               build_classifier, build_regressor,
                                cross_entropy_loss, init_params, mse_loss)
 from sampleflow.neural import worker
 from sampleflow.neural.network import flatten_width
 from sampleflow.neural.worker import WORKER
-from sampleflow.pipeline import NonFiniteLossError, TrainConfig
+from sampleflow.pipeline import INFER_BATCH, NonFiniteLossError, TrainConfig
 from sampleflow.sampling import Fixed
 
 WINDOW = 9  # the least that two pool-3 stages take
@@ -62,8 +64,8 @@ def config(batch_size, lr=1e-3):
 
 
 def serial_train(net, x, y, loss_fn, epochs, cfg, shuffle_seed):
-    """The parent schedule of _train_network: every step's backward, then
-    every update, on the calling thread."""
+    """The plain schedule of _train_network: every step's whole backward,
+    then every update."""
     optimizer = Adam(net.params(), lr=cfg.lr)
     rng = np.random.default_rng(shuffle_seed)
     net.train()
@@ -81,8 +83,8 @@ def serial_train(net, x, y, loss_fn, epochs, cfg, shuffle_seed):
     return optimizer
 
 
-def overlapped_train(monkeypatch, net, x, y, loss_fn, epochs, cfg,
-                     shuffle_seed):
+def pipeline_train(monkeypatch, net, x, y, loss_fn, epochs, cfg,
+                   shuffle_seed):
     """_train_network, returning the optimizer it made."""
     made = []
 
@@ -135,33 +137,10 @@ def test_bit_identical_to_serial_schedule(monkeypatch, make, rows, batch,
     ref_net = make()
     ref_opt = serial_train(ref_net, x, y, loss_fn, epochs, cfg, 5)
     net = make()
-    opt = overlapped_train(monkeypatch, net, x, y, loss_fn, epochs, cfg, 5)
+    opt = pipeline_train(monkeypatch, net, x, y, loss_fn, epochs, cfg, 5)
     assert opt.t == ref_opt.t >= 20
     assert state(net, opt) == state(ref_net, ref_opt)
     assert_idle()
-
-
-def test_parameter_work_runs_on_the_worker(monkeypatch):
-    two_cpus(monkeypatch)
-    threads = {}
-
-    def spy(cls, name):
-        original = getattr(cls, name)
-
-        def wrapper(self, *args):
-            threads.setdefault(f"{cls.__name__}.{name}", set()).add(
-                threading.current_thread().name)
-            return original(self, *args)
-        monkeypatch.setattr(cls, name, wrapper)
-
-    for cls, name in ((Conv1d, "_add_grads"), (Dense, "_add_grads"),
-                      (Adam, "_update")):
-        spy(cls, name)
-    x, y, loss_fn = data(regressor, 16, seed=1)
-    pipeline._train_network(regressor(), x, y, loss_fn, 1, config(8), 5)
-    worker = {"sampleflow-train-worker"}
-    assert threads == {"Conv1d._add_grads": worker,
-                       "Dense._add_grads": worker, "Adam._update": worker}
 
 
 @pytest.mark.parametrize("make", [regressor, head], ids=["conv", "dense"])
@@ -197,16 +176,15 @@ def test_skipped_input_gradient_leaves_grads_as_direct_call():
         for p in layer.params():
             p.zero_grad()
         layer.forward(x, True)  # backward consumed the first forward's cache
-        assert layer.backward(dy, WORKER.submit, False) is None
-        WORKER.wait()
+        assert layer.backward(dy, False) is None
         assert all(np.array_equal(p.grad, g)
                    for p, g in zip(layer.params(), grads))
 
 
 def test_idle_worker_keeps_nothing_of_the_last_step(monkeypatch):
     x, y, loss_fn = data(head, 16, seed=9)
-    optimizer = overlapped_train(monkeypatch, head(), x, y, loss_fn, 1,
-                                 config(8), 5)
+    optimizer = pipeline_train(monkeypatch, head(), x, y, loss_fn, 1,
+                               config(8), 5)
     gone = weakref.ref(optimizer)
     del optimizer
     gc.collect()
@@ -217,22 +195,17 @@ class InjectedFault(Exception):
     pass
 
 
-@pytest.mark.parametrize("where", ["worker", "caller"])
+@pytest.mark.parametrize("where", ["caller"])  # the one thread a step uses
 def test_fault_surfaces_and_leaves_nothing_queued(monkeypatch, where):
-    two_cpus(monkeypatch)
     x, y, loss_fn = data(classifier, 41, seed=4)
     cfg = config(8)
     fresh = classifier()
-    fresh_opt = overlapped_train(monkeypatch, fresh, x, y, loss_fn, 2, cfg, 5)
+    fresh_opt = pipeline_train(monkeypatch, fresh, x, y, loss_fn, 2, cfg, 5)
     raised_on = []
-    if where == "worker":  # the fourth parameter gradient of a Dense
-        cls, name = Dense, "_add_grads"
-    else:  # the fourth input gradient of a batch norm
-        cls, name = BatchNorm1d, "backward"
-    original = getattr(cls, name)
+    original = BatchNorm1d.backward
     calls = []
 
-    def faulty(self, *args):
+    def faulty(self, *args):  # the fourth input gradient of a batch norm
         calls.append(1)
         if len(calls) == 4:
             raised_on.append(threading.current_thread())
@@ -240,55 +213,64 @@ def test_fault_surfaces_and_leaves_nothing_queued(monkeypatch, where):
         return original(self, *args)
 
     with monkeypatch.context() as m:
-        m.setattr(cls, name, faulty)
+        m.setattr(BatchNorm1d, "backward", faulty)
         with pytest.raises(InjectedFault, match="injected"):
             pipeline._train_network(classifier(), x, y, loss_fn, 2, cfg, 5)
-    on_worker = raised_on[0] is not threading.current_thread()
-    assert on_worker == (where == "worker")
+    assert raised_on == [threading.current_thread()]
     assert_idle()
     again = classifier()
-    again_opt = overlapped_train(monkeypatch, again, x, y, loss_fn, 2, cfg, 5)
+    again_opt = pipeline_train(monkeypatch, again, x, y, loss_fn, 2, cfg, 5)
     assert state(again, again_opt) == state(fresh, fresh_opt)
 
 
-def overflowing_adam():
-    """An optimizer whose next update overflows in (1 - b2) * g * g."""
-    p = Param(np.array([1.0, -1.0]))
-    p.grad[...] = 1e200
-    return p, Adam([p], lr=1e-3)
+def overflowing(threads):
+    """A task that overflows in float64, and the array it writes; it notes
+    the thread it runs on in threads."""
+    out = np.empty(2)
+
+    def task():
+        threads.append(threading.current_thread().name)
+        np.multiply(np.array([1e200, -1e200]), 1e200, out=out)
+    return out, task
 
 
-def test_caller_errstate_raise_governs_worker():
-    p, serial = overflowing_adam()
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        serial.step()
-    p, queued = overflowing_adam()
+def test_caller_errstate_raise_governs_worker(monkeypatch):
+    two_cpus(monkeypatch)
+    threads = []
+    _, task = overflowing(threads)
     with np.errstate(over="raise"):
-        queued.update_later([p])
+        WORKER.submit(task)
         with pytest.raises(FloatingPointError):
-            queued.step()
+            WORKER.wait()
+    assert threads == ["sampleflow-worker"]
     assert_idle()
 
 
-def test_caller_errstate_ignore_governs_worker():
-    p, queued = overflowing_adam()
+def test_caller_errstate_ignore_governs_worker(monkeypatch):
+    two_cpus(monkeypatch)
+    threads = []
+    out, task = overflowing(threads)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with np.errstate(all="ignore"):
-            queued.update_later([p])
-            queued.step()
-    assert not np.isfinite(queued.v[0]).any()
+            WORKER.submit(task)
+            WORKER.wait()
+    assert threads == ["sampleflow-worker"]
+    assert not np.isfinite(out).any()
     assert_idle()
 
 
-def test_warning_made_error_on_worker_reaches_caller():
-    p, queued = overflowing_adam()
+def test_warning_made_error_on_worker_reaches_caller(monkeypatch):
+    two_cpus(monkeypatch)
+    threads = []
+    _, task = overflowing(threads)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with np.errstate(all="warn"):
-            queued.update_later([p])
+            WORKER.submit(task)
             with pytest.raises(RuntimeWarning, match="overflow"):
-                queued.step()
+                WORKER.wait()
+    assert threads == ["sampleflow-worker"]
     assert_idle()
 
 
@@ -319,28 +301,6 @@ def test_training_update_overflow_is_data_error_under_errstate_ignore():
     assert_idle()
 
 
-def test_bit_identical_under_fast_thread_switching(monkeypatch):
-    """A lost or reordered update would show as a changed parameter."""
-    x, y, loss_fn = data(classifier, 50, seed=7)
-    cfg = config(7)
-    ref_net = classifier()
-    ref_opt = serial_train(ref_net, x, y, loss_fn, 3, cfg, 5)
-    net = classifier()
-    out = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        run = threading.Thread(target=lambda: out.append(overlapped_train(
-            monkeypatch, net, x, y, loss_fn, 3, cfg, 5)))
-        run.start()
-        run.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not run.is_alive() and len(out) == 1
-    assert state(net, out[0]) == state(ref_net, ref_opt)
-    assert_idle()
-
-
 def forked(child) -> int:
     """The exit code of a forked child that runs child() and exits 0 if it
     returns true."""
@@ -366,31 +326,41 @@ def forked(child) -> int:
     return os.waitstatus_to_exitcode(status)
 
 
+def forward_two_batches():
+    """Forward two inference batches of a head, the odd one on the worker."""
+    x = np.random.default_rng(8).standard_normal(
+        (2 * INFER_BATCH, flatten_width(WINDOW)))
+    pipeline._forward_batches(head().eval(), x, np.float64)
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_trains_with_its_own_worker(monkeypatch):
+    # a child that trains, then forwards, starts a worker of its own
     two_cpus(monkeypatch)
     x, y, loss_fn = data(head, 16, seed=8)
-    pipeline._train_network(head(), x, y, loss_fn, 1, config(8), 5)
+    forward_two_batches()
     assert WORKER._thread is not None and WORKER._thread.is_alive()
 
     def child():
         pipeline._train_network(head(), x, y, loss_fn, 1, config(8), 5)
+        forward_two_batches()
         return WORKER._thread is not None and WORKER._thread.is_alive()
     assert forked(child) == 0
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_counts_its_cpus_again(monkeypatch):
-    # the parent runs on its thread; a child that may use one CPU runs
+    # the parent forwards on its thread; a child that may use one CPU runs
     # every task inline and starts no thread
     two_cpus(monkeypatch)
     x, y, loss_fn = data(head, 16, seed=8)
-    pipeline._train_network(head(), x, y, loss_fn, 1, config(8), 5)
+    forward_two_batches()
     assert WORKER._thread is not None
     monkeypatch.setattr(worker, "_usable_cpus", lambda: 1)
 
     def child():
         pipeline._train_network(head(), x, y, loss_fn, 1, config(8), 5)
+        forward_two_batches()
         return WORKER._cpus == 1 and WORKER._thread is None
     assert forked(child) == 0
 

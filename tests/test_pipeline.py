@@ -908,8 +908,8 @@ class TestTwoCoreForward:
                 return original(self, *args)
             monkeypatch.setattr(cls, name, wrapper)
 
-        for cls, name in ((Network, "forward"), (Conv1d, "_add_grads"),
-                          (Dense, "_add_grads"), (Adam, "_update")):
+        for cls, name in ((Network, "forward"), (Conv1d, "backward"),
+                          (Dense, "backward"), (Adam, "_update")):
             spy(cls, name)
 
         def run(cpus):
