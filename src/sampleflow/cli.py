@@ -18,7 +18,6 @@ from . import (DataError, __version__, features, flows, ingest, manifest,
 from .manifest import write_manifest
 from .neural import gradcheck as gc
 from .neural import CheckpointError, load_checkpoint, save_checkpoint
-from .neural.worker import WORKER
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -391,10 +390,6 @@ def main(argv: list[str] | None = None) -> int:
     except DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    finally:
-        # a command that failed may have left input hashes queued, or a
-        # hash's error pending, on the worker; the next one starts clean
-        WORKER.cancel()
 
 
 if __name__ == "__main__":

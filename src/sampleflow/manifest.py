@@ -4,18 +4,36 @@ A command names its inputs as it starts (`Inputs`). Each is hashed on the
 worker thread (`neural.worker.WORKER`) while the command reads and parses
 it, and the command takes the digests before it opens its first output, so
 a manifest records the bytes the command read even where an output
-replaces an input. Outputs are hashed from disk once written.
+replaces an input. Outputs are hashed from disk once written. Inputs named
+by path and outputs must be regular files: a pipe or a device cannot be
+read twice for the same bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import stat
 import time
+from concurrent.futures import Future
 from pathlib import Path
 
-from . import __version__
+from . import DataError, __version__
 from .neural.worker import WORKER
+
+
+class NotRegularFileError(DataError):
+    """A pipe, device or directory where a manifest needs a regular file."""
+
+
+def _require_regular(path: str | Path) -> None:
+    """Raise NotRegularFileError unless path is a regular file (or a link
+    to one); a missing path raises FileNotFoundError."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise NotRegularFileError(
+            f"{path}: not a regular file (a manifest hashes regular files "
+            "only)")
 
 
 def _file_sha256(path: str | Path) -> str:
@@ -24,6 +42,10 @@ def _file_sha256(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _bytes_sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def sha256_file(path: str | Path) -> str:
@@ -36,43 +58,37 @@ def sha256_file(path: str | Path) -> str:
 class Inputs:
     """The sha256 of each input of one command, taken on the worker thread.
 
-    Inputs(*paths) queues a hash of each file at once. read_bytes(path)
-    reads a file whole and queues a hash of the bytes it returns, so the
-    digest is of exactly what the caller parses and the file is read once.
-    digests() waits for every hash and raises the error of one that failed.
-    A command that fails before then leaves its hashes queued, and
-    `cli.main` cancels them."""
+    Inputs(*paths) checks that each path is a regular file and submits a
+    hash of it at once. read_bytes(path) reads a file whole, a pipe too,
+    and submits a hash of the bytes it returns, so the digest is of exactly
+    what the caller parses and the file is read once. digests() waits for
+    every hash and raises the error of the first named that failed. A
+    command that fails before then leaves its hashes to finish on the
+    worker, and their results and errors are dropped with their futures."""
 
     def __init__(self, *paths: str | Path):
-        self._digests: dict[str, str | None] = {}
+        self._futures: dict[str, Future] = {}
         for path in paths:
-            self._queue(path, path)
+            _require_regular(path)
+            self._futures[str(Path(path))] = WORKER.submit(_file_sha256, path)
 
     def read_bytes(self, path: str | Path) -> bytes:
         data = Path(path).read_bytes()
-        self._queue(path, data)
+        self._futures[str(Path(path))] = WORKER.submit(_bytes_sha256, data)
         return data
-
-    def _queue(self, path, source) -> None:
-        key = str(Path(path))
-        self._digests[key] = None
-        WORKER.submit(self._hash, key, source)
-
-    def _hash(self, key: str, source) -> None:
-        self._digests[key] = (hashlib.sha256(source).hexdigest()
-                              if isinstance(source, bytes)
-                              else _file_sha256(source))
 
     def digests(self) -> dict[str, str]:
         """Each input's path and sha256, in the order named."""
-        WORKER.wait()
-        return dict(self._digests)
+        return {path: future.result()
+                for path, future in self._futures.items()}
 
 
 def write_manifest(artifact: str | Path, subcommand: str, config: dict,
                    seed: int | None, inputs: dict[str, str],
                    started: float) -> Path:
-    """Write <artifact>.manifest.json; inputs are Inputs.digests()."""
+    """Write <artifact>.manifest.json; inputs are Inputs.digests(). An
+    artifact that is not a regular file is refused before it is hashed."""
+    _require_regular(artifact)
     manifest = {
         "tool_version": __version__,
         "subcommand": subcommand,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ctypes
 import logging
 import math
+from concurrent import futures
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from numbers import Integral, Real
 
@@ -185,7 +186,11 @@ def _forward_batches(net: Network, x: np.ndarray, dtype) -> list[np.ndarray]:
     The calling thread forwards the even batches and the worker the odd
     ones, under the caller's numpy error state. Each batch is one whole
     forward of the same rows, and an eval-mode forward writes nothing a
-    batch reads, so every output is bit-identical to a serial loop's."""
+    batch reads, so every output is bit-identical to a serial loop's.
+
+    No batch runs once this returns. The first failed batch of the caller's
+    raises, after the worker's batches not yet started are cancelled and the
+    one running ends; else the first failed batch of the worker's does."""
     starts = range(0, len(x), INFER_BATCH)
     out: list = [None] * len(starts)
 
@@ -193,15 +198,20 @@ def _forward_batches(net: Network, x: np.ndarray, dtype) -> list[np.ndarray]:
         lo = starts[i]
         out[i] = net.forward(x[lo:lo + INFER_BATCH].astype(dtype, copy=False))
 
+    odd = []
     try:
         for i in range(0, len(starts), 2):
             if i + 1 < len(starts):
-                WORKER.submit(forward, i + 1)
+                odd.append(WORKER.submit(forward, i + 1))
             forward(i)
-        WORKER.wait()
     except BaseException:
-        WORKER.cancel()
+        for future in odd:
+            future.cancel()
         raise
+    finally:
+        futures.wait(odd)
+    for future in odd:
+        future.result()
     return out
 
 

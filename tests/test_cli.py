@@ -1,4 +1,5 @@
 import base64
+import contextlib
 import csv
 import hashlib
 import json
@@ -7,6 +8,8 @@ import re
 import resource
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -14,8 +17,8 @@ import numpy as np
 import pytest
 
 import sampleflow
-from sampleflow import (DataError, cli, features, flows, ingest, pipeline,
-                        sampling, synth)
+from sampleflow import (DataError, cli, features, flows, ingest, manifest,
+                        pipeline, sampling, synth)
 from sampleflow.cli import main
 from sampleflow.features import FEATURE_NAMES, stat_features
 from sampleflow.flows import read_flows, write_flows
@@ -33,7 +36,7 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_capped(*argv, address_space=1_500_000_000):
+def run_capped(*argv, address_space=1_500_000_000, timeout=300):
     """The CLI in a child process with a capped address space, so that an
     allocation too large for it fails in the child instead of taking the
     memory of the process that runs the tests."""
@@ -47,7 +50,7 @@ def run_capped(*argv, address_space=1_500_000_000):
 
     return subprocess.run([sys.executable, "-m", "sampleflow.cli", *argv],
                           env=env, preexec_fn=cap, capture_output=True,
-                          text=True, timeout=300)
+                          text=True, timeout=timeout)
 
 
 class TestExitCodes:
@@ -98,7 +101,8 @@ class TestExitCodes:
                     pipeline.EmptyDatasetError, pipeline.LabelError,
                     pipeline.CoverageError, pipeline.NonFiniteLossError,
                     pipeline.NonFiniteOutputError, pipeline.ConfigError,
-                    pipeline.DatasetSizeError, CheckpointError, ShapeError):
+                    pipeline.DatasetSizeError, CheckpointError, ShapeError,
+                    manifest.NotRegularFileError):
             assert issubclass(cls, DataError), cls
         assert not issubclass(DegenerateBatchError, DataError)
 
@@ -299,6 +303,102 @@ class TestIngestCommand:
         code, _, err = run(capsys, "ingest", "--pcap", str(cap),
                            "--out", str(tmp_path / "o.flows"))
         assert code == 2
+
+
+def pipe_end(fifo, mode, use):
+    """Start a thread that opens the FIFO at fifo in mode and calls use on
+    the open file. Returns a function that lets a thread still waiting in
+    open() go, by opening the other end once, and joins it."""
+    def run_end():
+        try:
+            with open(fifo, mode) as fh:
+                use(fh)
+        except BrokenPipeError:  # the program closed its end early
+            pass
+
+    thread = threading.Thread(target=run_end, daemon=True)
+    thread.start()
+    other = os.O_WRONLY if "r" in mode else os.O_RDONLY
+
+    def finish():
+        deadline = time.monotonic() + 60
+        while thread.is_alive() and time.monotonic() < deadline:
+            try:
+                os.close(os.open(fifo, other | os.O_NONBLOCK))
+            except OSError:  # ENXIO: the thread has not opened its end yet
+                pass
+            thread.join(0.05)
+        assert not thread.is_alive()
+    return finish
+
+
+PIPE_REFUSED = "not a regular file (a manifest hashes regular files only)"
+
+
+class TestPipes:
+    """A manifest hashes its command's inputs and output. The hash and the
+    parse cannot both read a pipe, nor can a pipe written be read back, so
+    a pipe is refused (exit 2); ingest reads its capture once, so a piped
+    capture works there. The refused commands run in a child process,
+    which a program that blocks on a pipe cannot hang."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        path = tmp_path / "c.flows"
+        write_flows(generate(2, 3, seed=5), path)
+        return path
+
+    def test_piped_input_is_refused(self, tmp_path, corpus):
+        fifo, out = tmp_path / "in.pipe", tmp_path / "s.csv"
+        os.mkfifo(fifo)
+        finish = pipe_end(fifo, "wb", lambda fh: fh.write(corpus.read_bytes()))
+        try:
+            done = run_capped("stats", "--flows", str(fifo), "--out",
+                              str(out), timeout=60)
+        finally:
+            finish()
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == f"error: {fifo}: {PIPE_REFUSED}\n"
+        assert not out.exists()
+
+    def test_piped_output_is_refused(self, tmp_path, corpus):
+        fifo = tmp_path / "out.pipe"
+        os.mkfifo(fifo)
+        got = []
+        finish = pipe_end(fifo, "rb", lambda fh: got.append(fh.read()))
+        try:
+            done = run_capped("stats", "--flows", str(corpus), "--out",
+                              str(fifo), timeout=60)
+        finally:
+            finish()
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == f"error: {fifo}: {PIPE_REFUSED}\n"
+        assert got[0].startswith(b"flow_id,label,")
+        assert not Path(f"{fifo}.manifest.json").exists()
+
+    def test_piped_capture_is_ingested(self, capsys, tmp_path):
+        frames = [(pc.udp_frame("10.0.0.1", "10.0.0.2", 1000, 443, 50),
+                   0.01 * i) for i in range(120)]
+        cap, fifo = tmp_path / "t.pcap", tmp_path / "t.pipe"
+        cap.write_bytes(pc.pcap(frames))
+        os.mkfifo(fifo)
+        finish = pipe_end(fifo, "wb", lambda fh: fh.write(cap.read_bytes()))
+        try:
+            piped = run(capsys, "ingest", "--pcap", str(fifo), "--out",
+                        str(tmp_path / "pipe.flows"), "--min-packets", "1")
+        finally:
+            finish()
+        from_file = run(capsys, "ingest", "--pcap", str(cap), "--out",
+                        str(tmp_path / "file.flows"), "--min-packets", "1")
+        assert piped == from_file == (0, "decoded 120 packets (skipped {}), "
+                                      "wrote 1 flows\n", "")
+        assert (tmp_path / "pipe.flows").read_bytes() == \
+            (tmp_path / "file.flows").read_bytes()
+        digest = hashlib.sha256(cap.read_bytes()).hexdigest()
+        for source, out in ((fifo, "pipe.flows"), (cap, "file.flows")):
+            record = json.loads(
+                (tmp_path / f"{out}.manifest.json").read_text())
+            assert record["inputs"] == {str(source): digest}
 
 
 @pytest.fixture(scope="module")

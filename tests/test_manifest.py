@@ -232,15 +232,14 @@ def missing_model(tmp_path, corpus):
                                      missing_model])
 def test_failed_command_leaves_the_worker_clean(capsys, tmp_path, corpus,
                                                 config, failure):
-    """The command exits with the caller's error; nothing is left queued or
-    pending, so a pretrain and a stats that follow run and record correct
-    digests."""
+    """The command exits with the caller's error. A hash it left queued
+    finishes on the worker, and its result is dropped, so a pretrain and a
+    stats that follow run and record correct digests."""
     argv, message = failure(tmp_path, corpus)
     code, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
-    assert_idle()
     pre = tmp_path / "pre.ckpt"
     code, err = run(capsys, "pretrain", "--flows", str(corpus), "--config",
                     str(config), "--out", str(pre))
@@ -271,16 +270,22 @@ def test_failed_hash_is_data_error_before_any_output(capsys, tmp_path,
 
 def test_command_that_crashes_leaves_the_worker_clean(capsys, tmp_path,
                                                       corpus, monkeypatch):
-    """A bug ends in a traceback, and still cancels the queued hashes."""
+    """A bug ends in a traceback; the hash it left queued, here one that
+    fails too, does not reach the next command."""
     def crash(path):
         raise RuntimeError("a bug")
 
+    def denied(path):
+        raise PermissionError(f"denied: {path}")
+
     with monkeypatch.context() as m:
         m.setattr(cli.flows, "read_flows", crash)
+        m.setattr(manifest, "_file_sha256", denied)
         with pytest.raises(RuntimeError, match="a bug"):
             main(["stats", "--flows", str(corpus),
                   "--out", str(tmp_path / "s.csv")])
-    assert_idle()
     code, err = run(capsys, "stats", "--flows", str(corpus),
                     "--out", str(tmp_path / "s.csv"))
     assert code == 0, err
+    assert manifest_of(tmp_path / "s.csv")["inputs"] == \
+        {str(corpus): sha256(corpus)}

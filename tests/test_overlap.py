@@ -111,7 +111,7 @@ def state(net, optimizer):
 
 
 def assert_idle():
-    assert WORKER._tasks.unfinished_tasks == 0 and WORKER._error is None
+    assert WORKER._pool._work_queue.empty()
 
 
 def two_cpus(monkeypatch):
@@ -239,10 +239,10 @@ def test_caller_errstate_raise_governs_worker(monkeypatch):
     threads = []
     _, task = overflowing(threads)
     with np.errstate(over="raise"):
-        WORKER.submit(task)
-        with pytest.raises(FloatingPointError):
-            WORKER.wait()
-    assert threads == ["sampleflow-worker"]
+        future = WORKER.submit(task)
+    with pytest.raises(FloatingPointError):
+        future.result()
+    assert threads == ["sampleflow-worker_0"]
     assert_idle()
 
 
@@ -253,9 +253,8 @@ def test_caller_errstate_ignore_governs_worker(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with np.errstate(all="ignore"):
-            WORKER.submit(task)
-            WORKER.wait()
-    assert threads == ["sampleflow-worker"]
+            WORKER.submit(task).result()
+    assert threads == ["sampleflow-worker_0"]
     assert not np.isfinite(out).any()
     assert_idle()
 
@@ -267,10 +266,10 @@ def test_warning_made_error_on_worker_reaches_caller(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with np.errstate(all="warn"):
-            WORKER.submit(task)
-            with pytest.raises(RuntimeWarning, match="overflow"):
-                WORKER.wait()
-    assert threads == ["sampleflow-worker"]
+            future = WORKER.submit(task)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            future.result()
+    assert threads == ["sampleflow-worker_0"]
     assert_idle()
 
 
@@ -333,18 +332,24 @@ def forward_two_batches():
     pipeline._forward_batches(head().eval(), x, np.float64)
 
 
+def pool_threads():
+    """The names of the live threads of the worker's pool."""
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith("sampleflow-worker")]
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_trains_with_its_own_worker(monkeypatch):
     # a child that trains, then forwards, starts a worker of its own
     two_cpus(monkeypatch)
     x, y, loss_fn = data(head, 16, seed=8)
     forward_two_batches()
-    assert WORKER._thread is not None and WORKER._thread.is_alive()
+    assert pool_threads() == ["sampleflow-worker_0"]
 
     def child():
         pipeline._train_network(head(), x, y, loss_fn, 1, config(8), 5)
         forward_two_batches()
-        return WORKER._thread is not None and WORKER._thread.is_alive()
+        return pool_threads() == ["sampleflow-worker_0"]
     assert forked(child) == 0
 
 
@@ -355,13 +360,13 @@ def test_forked_child_counts_its_cpus_again(monkeypatch):
     two_cpus(monkeypatch)
     x, y, loss_fn = data(head, 16, seed=8)
     forward_two_batches()
-    assert WORKER._thread is not None
+    assert pool_threads() == ["sampleflow-worker_0"]
     monkeypatch.setattr(worker, "_usable_cpus", lambda: 1)
 
     def child():
         pipeline._train_network(head(), x, y, loss_fn, 1, config(8), 5)
         forward_two_batches()
-        return WORKER._cpus == 1 and WORKER._thread is None
+        return WORKER._cpus == 1 and pool_threads() == []
     assert forked(child) == 0
 
 
@@ -371,22 +376,22 @@ def test_one_cpu_runs_tasks_inline_under_the_same_rules(monkeypatch):
 
     def record(tag):
         ran.append((tag, threading.get_ident(), np.geterr()["over"]))
+        return tag
 
     def fail():
         raise InjectedFault("inline")
 
     with np.errstate(over="raise"):
-        WORKER.submit(record, "first")
-    assert ran == [("first", threading.get_ident(), "raise")]
-    WORKER.submit(fail)
-    WORKER.submit(record, "skipped")
-    with pytest.raises(InjectedFault, match="inline"):
-        WORKER.wait()
-    assert len(ran) == 1
+        first = WORKER.submit(record, "first")
+    assert first.done() and first.result() == "first"
+    failed = WORKER.submit(fail)
+    assert failed.done() and isinstance(failed.exception(), InjectedFault)
+    after = WORKER.submit(record, "after")
+    assert after.done() and after.result() == "after"
+    caller = threading.get_ident()
+    assert ran == [("first", caller, "raise"),
+                   ("after", caller, np.geterr()["over"])]
     assert_idle()
-    WORKER.submit(record, "after")
-    WORKER.wait()
-    assert [tag for tag, *_ in ran] == ["first", "after"]
 
 
 @pytest.mark.parametrize("affinity, cpu_count, want", [

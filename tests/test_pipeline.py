@@ -872,9 +872,11 @@ class TestTwoCoreForward:
         before = train()
         caller = threading.get_ident()
         raised_on = []
+        calls = []
         forward = Network.forward
 
         def faulty(self, x):
+            calls.append(1)
             on_caller = threading.get_ident() == caller
             if on_caller == (where == "caller") and not raised_on:
                 raised_on.append(on_caller)
@@ -885,6 +887,10 @@ class TestTwoCoreForward:
             m.setattr(Network, "forward", faulty)
             with pytest.raises(InjectedFault, match=where):
                 _forward_batches(folded, x, np.float32)
+            ran = len(calls)
+            # a batch left to run would run before this no-op
+            WORKER.submit(lambda: None).result(timeout=60)
+            assert len(calls) == ran
         assert raised_on == [where == "caller"]
         assert_idle()
         assert train() == before
