@@ -370,8 +370,36 @@ def _one_blas_thread() -> None:
                 return
 
 
+def _keep_freed_heap() -> None:
+    """Have glibc's malloc keep freed heap memory, in one arena, for the
+    rest of the program. Called once, by main, before a command starts the
+    worker thread; a library caller's malloc is left as it is.
+
+    Backward frees each layer's cache, so a train step ends holding no
+    activations. With its default, dynamic thresholds glibc then returns
+    that memory to the system at every step's end and the next forward
+    faults it in again: training the benchmark's classify_random classifier
+    took four times the page faults and 15-20% more time than with caches
+    kept. These are the thresholds its dynamic rule reaches once a 32 MiB
+    block has been freed: blocks under 32 MiB come from the heap, and up to
+    64 MiB of free heap stays mapped. With one arena, the worker thread's
+    inference batches and input hashes reuse the heap that training freed,
+    where an arena of its own would grow beside it. Without glibc's
+    mallopt, nothing is done."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-8, 1)  # M_ARENA_MAX
+
+
 def main(argv: list[str] | None = None) -> int:
     _one_blas_thread()
+    _keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -292,31 +292,39 @@ def write_flows(flows: Iterable[Flow], sink: Sink) -> None:
 
 def read_flows(source: Sink) -> list[Flow]:
     """The flows of a flow file of schema version SCHEMA_VERSION, the only
-    version read; FlowFormatError, naming the line, for any other content."""
+    version read; FlowFormatError, naming the line, for any other content.
+
+    The file is read one physical ("\n"-ended) line at a time, so its text
+    is never held whole. Each is split again as str.splitlines splits, so
+    the lines and their numbers are those of fh.read().splitlines(): a
+    "\r\n" never spans two physical lines."""
     fh, owned = _open_for(source, "r")
     try:
-        lines = fh.read().splitlines()
+        lines = (line for physical in fh for line in physical.splitlines())
+        first = next(lines, None)
+        if first is None:
+            raise FlowFormatError("empty file: missing header line")
+        try:
+            header = json.loads(first)
+        except json.JSONDecodeError as exc:
+            raise FlowFormatError(f"bad header: {exc}", 1) from exc
+        if not isinstance(header, dict) or header.get("format") != "flows":
+            raise FlowFormatError("not a flow file (bad header line)", 1)
+        version = header.get("v")
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise FlowVersionError(f"unsupported schema version {version}", 1)
+        flows = []
+        for lineno, raw in enumerate(lines, start=2):
+            if raw.strip():
+                try:
+                    flows.append(_read_record(raw))
+                except FlowFormatError as exc:
+                    raise type(exc)(str(exc), lineno) from exc
+        return flows
+    # text is decoded as it is read, so a byte that is not UTF-8 is met
+    # only when the reading reaches it
     except UnicodeDecodeError as exc:
         raise FlowFormatError(f"not a UTF-8 text file ({exc})") from exc
     finally:
         if owned:
             fh.close()
-    if not lines:
-        raise FlowFormatError("empty file: missing header line")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise FlowFormatError(f"bad header: {exc}", 1) from exc
-    if not isinstance(header, dict) or header.get("format") != "flows":
-        raise FlowFormatError("not a flow file (bad header line)", 1)
-    version = header.get("v")
-    if type(version) is not int or version != SCHEMA_VERSION:
-        raise FlowVersionError(f"unsupported schema version {version}", 1)
-    flows = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if raw.strip():
-            try:
-                flows.append(_read_record(raw))
-            except FlowFormatError as exc:
-                raise type(exc)(str(exc), lineno) from exc
-    return flows

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import ctypes
 import logging
 import math
 from concurrent import futures
@@ -215,30 +214,9 @@ def _forward_batches(net: Network, x: np.ndarray, dtype) -> list[np.ndarray]:
     return out
 
 
-def _keep_freed_heap() -> None:
-    """Have glibc's malloc keep freed heap memory for the next train step.
-
-    Backward frees each layer's cache, so a step ends holding no
-    activations. With its default, dynamic thresholds glibc then returns
-    that memory to the system at every step's end and the next forward
-    faults it in again: training the benchmark's classify_random classifier
-    took four times the page faults and 15-20% more time than with caches
-    kept. These are the thresholds its dynamic rule reaches once a 32 MiB
-    block has been freed: blocks under 32 MiB come from the heap, and up to
-    64 MiB of free heap stays mapped. Without glibc's mallopt, nothing is
-    done."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
 def _train_network(net: Network, x: np.ndarray, y: np.ndarray, loss_fn,
                    epochs: int, cfg: TrainConfig, shuffle_seed: int
                    ) -> list[float]:
-    _keep_freed_heap()
     optimizer = Adam(net.params(), lr=cfg.lr)
     rng = np.random.default_rng(shuffle_seed)
     history = []

@@ -1126,3 +1126,60 @@ def test_pretrain_bits_do_not_depend_on_blas_threads(tmp_path):
             capture_output=True)
         checkpoints.append(out.read_bytes())
     assert checkpoints[0] == checkpoints[1]
+
+
+class TestMallocSetUp:
+    """The program sets malloc up once, at its start: the CLI, not the
+    library, decides how the process's heap is kept."""
+
+    M_ARENA_MAX = -8
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every mallopt call, with every WORKER.submit as "submit", in the
+        order made. The C library's mallopt is never reached."""
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        class Libc:
+            def __init__(self, name, *args, **kwargs):
+                if name is not None:
+                    raise OSError(f"{name}: not loaded under this test")
+                self.mallopt = mallopt
+
+        submit = worker.WORKER.submit
+
+        def recorded_submit(fn, *args):
+            calls.append("submit")
+            return submit(fn, *args)
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", Libc)
+        monkeypatch.setattr(worker.WORKER, "submit", recorded_submit)
+        return calls
+
+    def test_once_per_main_before_the_first_submit(self, calls, tmp_path):
+        corpus = tmp_path / "c.flows"
+        write_flows(generate(2, 3, seed=5), corpus)
+        made = []
+        for i in range(2):
+            calls.clear()
+            assert main(["--quiet", "stats", "--flows", str(corpus),
+                         "--out", str(tmp_path / f"s{i}.csv")]) == 0
+            first = calls.index("submit")
+            assert all(call == "submit" for call in calls[first:])
+            made.append(calls[:first])
+        assert made[0] == made[1]
+        assert (self.M_ARENA_MAX, 1) in made[0]
+        assert len(set(made[0])) == len(made[0])
+
+    def test_library_training_leaves_malloc_alone(self, calls):
+        labeled = generate(2, 3, seed=5)
+        cfg = pipeline.TrainConfig(
+            sampling=sampling.Fixed(1), seed=7, window=10, copies=2,
+            pretrain_epochs=1, retrain_epochs=1, batch_size=8)
+        net, _ = pipeline.pretrain(labeled, cfg)
+        pipeline.retrain(net, labeled, ["c0", "c1"], cfg)
+        assert [call for call in calls if call != "submit"] == []

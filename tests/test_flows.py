@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,11 +84,11 @@ def read_text(text):
     return read_flows(io.StringIO(text))
 
 
-def outcome(text):
+def outcome(text, read=read_text):
     """What reading `text` gives: each flow's fields with its columns'
     bytes and dtypes, or the error's type, message and line."""
     try:
-        flows = read_text(text)
+        flows = read(text)
     except FlowFormatError as exc:
         return type(exc), str(exc), exc.line
     return [(f.id, f.five_tuple, f.label, f.times.dtype, f.times.tobytes(),
@@ -607,6 +608,100 @@ class TestBlockReader:
         for flow in read_text(three_records(record(fid='"b"'))):
             for column in (flow.times, flow.signed):
                 assert column.base is None and column.flags.c_contiguous
+
+
+# the line breaks of str.splitlines other than "\n"
+_BREAKS = {"CRLF": "\r\n", "CR": "\r", "CR CR LF": "\r\r\n", "FF": "\f",
+           "VT": "\v", "FS": "\x1c", "GS": "\x1d", "RS": "\x1e",
+           "NEL": "\x85", "LS": "\u2028", "PS": "\u2029"}
+
+
+def _split_cases():
+    """Flow file texts: id -> (text, the ids of its flows, or the line
+    that its error names)."""
+    a, b = record(fid='"a"'), record(fid='"b"')
+    bad = record(lengths=[100, 0], fid='"c"')
+    cases = {}
+    for name, brk in _BREAKS.items():
+        cases[f"{name} ends lines"] = brk.join([HEADER, a, b]) + brk, "ab"
+        cases[f"{name} in header"] = "\n".join(
+            [HEADER.replace(" ", brk, 1), a, b]) + "\n", 1
+        cases[f"{name} in record"] = "\n".join(
+            [HEADER, a.replace('"times": ', '"times":' + brk), b]) + "\n", 2
+        cases[f"{name} then LF"] = "\n".join([HEADER, a + brk, b]) + "\n", "ab"
+        cases[f"{name} ends file"] = "\n".join([HEADER, a, b]) + brk, "ab"
+        cases[f"{name} ends bad record"] = "\n".join([HEADER, a, bad]) + brk, 3
+    cases.update({
+        "no final newline": ("\n".join([HEADER, a, b]), "ab"),
+        "bad record, no final newline": ("\n".join([HEADER, a, bad]), 3),
+        "header only, no final newline": (HEADER, ""),
+        "blank lines": ("\n".join([HEADER, "", a, "", "", b, ""]) + "\n",
+                        "ab"),
+        "whitespace-only lines": ("\n".join(
+            [HEADER, " ", a, "\t \t", "\f\n\v", b, "  "]), "ab"),
+        "bad record after blank lines": ("\n".join(
+            [HEADER, "", " ", a, "\r\n", bad]) + "\n", 7),
+        "blank first line": ("\n".join(["", HEADER, a]) + "\n", 1),
+        "whitespace-only first line": ("\n".join([" \t", HEADER, a]), 1),
+        "only a newline": ("\n", 1),
+        "only a CR": ("\r", 1),
+    })
+    return cases
+
+
+_SPLIT_CASES = _split_cases()
+
+
+class TestLineSplitting:
+    """read_flows reads a line at a time, yet splits lines as
+    str.splitlines splits the whole text."""
+
+    @pytest.mark.parametrize("name", _SPLIT_CASES)
+    def test_lines_of_splitlines_on_the_whole_text(self, name, tmp_path):
+        text, expected = _SPLIT_CASES[name]
+        # a reader that runs splitlines() on the whole text: its logical
+        # lines, each given as one "\n"-ended line
+        whole = outcome("".join(line + "\n" for line in text.splitlines()))
+        if isinstance(expected, int):
+            assert whole[0] is FlowFormatError and whole[2] == expected
+        else:
+            assert [flow[0] for flow in whole] == list(expected)
+        assert outcome(text) == whole
+        path = tmp_path / "c.flows"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert outcome(path, read_flows) == whole
+
+    @pytest.mark.parametrize("bad_record", [False, True])
+    def test_undecodable_byte_met_where_read(self, bad_record, tmp_path):
+        """A byte that is not UTF-8 fails the file when the reading reaches
+        it, so a bad record far before it is reported in its place."""
+        lines = [HEADER] + [record(fid=f'"{i}"') for i in range(200)]
+        if bad_record:
+            lines[2] = record(lengths=[100, 0], fid='"bad"')
+        path = tmp_path / "c.flows"
+        path.write_bytes(("\n".join(lines) + "\n").encode() + b"\xff\n")
+        with pytest.raises(FlowFormatError) as caught:
+            read_flows(path)
+        if bad_record:
+            assert caught.value.line == 3
+            assert "zero packet length" in str(caught.value)
+        else:
+            assert caught.value.line is None
+            assert "not a UTF-8 text file" in str(caught.value)
+
+    def test_peak_memory_near_the_columns(self, tmp_path):
+        """The file's text and its list of lines are never held whole: the
+        reading peaks near the bytes of the columns it returns."""
+        path = tmp_path / "large.flows"
+        write_flows(generate(3, 40, seed=7), path)
+        tracemalloc.start()
+        try:
+            flows = read_flows(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = sum(f.times.nbytes + f.signed.nbytes for f in flows)
+        assert peak <= 1.5 * columns
 
 
 # record fields that were once converted in place of rejected: (record
