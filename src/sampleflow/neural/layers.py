@@ -1,8 +1,11 @@
 """Layers with explicit forward/backward passes.
 
-Parameters and running stats are float64. A forward computes in its input's
-dtype, casting them to it, so a float32 input runs in float32 and a float64
-input does exactly float64 arithmetic.
+Parameters, their gradients and running stats are float64. A forward and
+a backward compute in their input's dtype, casting the parameters to it, so
+a float32 input runs in float32 and a float64 input does exactly float64
+arithmetic; a float32 backward adds its parameter gradients into the
+float64 `grad` arrays, and a float32 train forward updates the float64
+running stats. Training runs in float32 and the gradient check in float64.
 
 A forward with train=True keeps what backward needs in `_cache` (Conv1d its
 padded input, not its im2col matrix), and backward takes it and clears it:
@@ -121,8 +124,9 @@ class Conv1d(Layer):
         self.bias.grad += dy2.sum(axis=1)
         if not need_dx:
             return None
-        dcols = (self.weight.value.reshape(o, -1).T @ dy2).reshape(c, k, w, n)
-        dx_pad = np.zeros((c, w + 2 * self.pad, n))
+        weight = self.weight.value.astype(dy.dtype, copy=False)
+        dcols = (weight.reshape(o, -1).T @ dy2).reshape(c, k, w, n)
+        dx_pad = np.zeros((c, w + 2 * self.pad, n), dtype=dy.dtype)
         for j in range(k):  # col2im: tap j read x_pad[:, j:j + w]
             dx_pad[:, j:j + w] += dcols[:, j]
         return dx_pad[:, self.pad:self.pad + w].transpose(2, 0, 1)
@@ -171,8 +175,8 @@ class BatchNorm1d(Layer):
             return xc
         xc *= inv_std[:, None]  # now x-hat
         self._cache = (xc, inv_std)
-        y = xc * self.gamma.value[:, None]
-        y += self.beta.value[:, None]
+        y = xc * self.gamma.value.astype(x.dtype, copy=False)[:, None]
+        y += self.beta.value.astype(x.dtype, copy=False)[:, None]
         return y
 
     def backward(self, dy, need_dx=True):
@@ -188,7 +192,8 @@ class BatchNorm1d(Layer):
         dx = xhat * (-dgamma / m)[:, None]
         dx += dy
         dx -= (dbeta / m)[:, None]
-        dx *= (self.gamma.value * inv_std)[:, None]
+        dx *= (self.gamma.value.astype(dy.dtype, copy=False)
+               * inv_std)[:, None]
         return dx
 
 
@@ -271,4 +276,6 @@ class Dense(Layer):
         x = self._cached()
         self.weight.grad += x.T @ dy
         self.bias.grad += dy.sum(axis=0)
-        return dy @ self.weight.value.T if need_dx else None
+        if not need_dx:
+            return None
+        return dy @ self.weight.value.astype(dy.dtype, copy=False).T

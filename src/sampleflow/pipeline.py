@@ -13,8 +13,9 @@ import numpy as np
 from . import DataError
 from .features import input_matrix, normalize_targets, stat_features
 from .flows import Flow
-from .neural import (Adam, Network, build_classifier, build_regressor,
-                     cross_entropy_loss, init_params, mse_loss, transfer_trunk)
+from .neural import (Adam, BatchNorm1d, Network, build_classifier,
+                     build_regressor, cross_entropy_loss, init_params,
+                     mse_loss, transfer_trunk)
 from .neural.worker import WORKER
 from .sampling import (Random, SamplingSpec, augment, derive_rng,
                        spec_from_dict, spec_to_dict)
@@ -50,12 +51,21 @@ class DatasetSizeError(DataError):
     """A dataset of sampled copies whose input array cannot be allocated."""
 
 
+class WeightRangeError(DataError):
+    """A network to train from that holds a value beyond float32's range,
+    where training computes."""
+
+
 # rows an inference forward takes at a time: small enough that conv L3's
 # im2col matrix stays near one core's L2 cache. BLAS rounds a row's output
 # differently in products of different sizes, so changing it changes
 # --freeze-trunk checkpoint bytes and can flip an evaluate prediction at a
 # tie.
 INFER_BATCH = 128
+
+# what a train step computes in: parameters, gradients, Adam moments,
+# running statistics, losses and datasets stay float64
+TRAIN_DTYPE = np.float32
 
 _LEAST = {"seed": 0, "window": 1, "copies": 1, "pretrain_epochs": 1,
           "retrain_epochs": 1, "batch_size": 2}  # batch norm needs 2 copies
@@ -217,6 +227,15 @@ def _forward_batches(net: Network, x: np.ndarray, dtype) -> list[np.ndarray]:
 def _train_network(net: Network, x: np.ndarray, y: np.ndarray, loss_fn,
                    epochs: int, cfg: TrainConfig, shuffle_seed: int
                    ) -> list[float]:
+    """Train net on (x, y) with Adam for epochs shuffled passes of
+    cfg.batch_size rows; returns the mean loss of each epoch.
+
+    Each batch is cast to TRAIN_DTYPE and forwarded and backpropagated in
+    it, each layer casting its float64 parameters to it. The loss and its
+    gradient are computed in float64 on the cast-up predictions, and the
+    gradient is cast down for the backward, which adds into the float64
+    gradients that Adam steps the float64 parameters with. A batch of one
+    row, which batch norm cannot train on, is skipped."""
     optimizer = Adam(net.params(), lr=cfg.lr)
     rng = np.random.default_rng(shuffle_seed)
     history = []
@@ -232,13 +251,13 @@ def _train_network(net: Network, x: np.ndarray, y: np.ndarray, loss_fn,
             if len(idx) < 2:
                 continue  # batch norm needs more than one value
             optimizer.zero_grad()
-            pred = net.forward(x[idx])
-            loss, dpred = loss_fn(pred, y[idx])
+            pred = net.forward(x[idx].astype(TRAIN_DTYPE, copy=False))
+            loss, dpred = loss_fn(pred.astype(np.float64), y[idx])
             if not np.isfinite(loss):
                 raise NonFiniteLossError(
                     f"training loss is {loss} at epoch {epoch + 1}/{epochs}, "
                     f"batch {batch + 1}; lower lr (now {cfg.lr})")
-            _backward(net, dpred)
+            _backward(net, dpred.astype(TRAIN_DTYPE))
             optimizer.step()
             losses.append(loss)
         mean_loss = float(np.mean(losses))
@@ -264,6 +283,25 @@ def pretrain(unlabeled: list[Flow], cfg: TrainConfig
     return net, history
 
 
+def _check_train_range(net: Network) -> None:
+    """Refuse a network to train from that holds a value beyond the range of
+    TRAIN_DTYPE: cast to it, the value would overflow to inf, and training
+    would end in a non-finite loss. Every parameter and running statistic
+    is checked, as a checkpoint holds them all."""
+    limit = float(np.finfo(TRAIN_DTYPE).max)
+    for i, layer in enumerate(net.layers):
+        arrays = [p.value for p in layer.params()]
+        if isinstance(layer, BatchNorm1d):
+            arrays += [layer.running_mean, layer.running_var]
+        for a in arrays:
+            big = float(np.abs(a).max())
+            if big > limit:
+                raise WeightRangeError(
+                    f"layer {i} ({type(layer).__name__}) holds a value of "
+                    f"{big:.3g}, beyond float32's +-{limit:.3g}: the weights "
+                    "are too large to train in float32")
+
+
 def _train_classifier(labeled: list[Flow], classes: list[str],
                       cfg: TrainConfig, pretrained: Network | None
                       ) -> tuple[Network, list[float]]:
@@ -273,6 +311,8 @@ def _train_classifier(labeled: list[Flow], classes: list[str],
     missing = [c for c in classes if c not in have]
     if missing:
         raise CoverageError(f"no labeled flows for classes {missing}")
+    if pretrained is not None:
+        _check_train_range(pretrained)
     x, y, _ = build_classification_dataset(labeled, classes, cfg)
     net = init_params(build_classifier(cfg.window, len(classes)), cfg.seed + 2)
     trained = net
@@ -281,7 +321,7 @@ def _train_classifier(labeled: list[Flow], classes: list[str],
         if cfg.freeze_trunk:
             # a fixed trunk: forward each copy through it once, train the head
             trunk = Network(net.trunk, net.trunk_len).eval()
-            x = np.concatenate(_forward_batches(trunk, x, np.float64))
+            x = np.concatenate(_forward_batches(trunk, x, TRAIN_DTYPE))
             trained = Network(net.layers[net.trunk_len:], 0)
     history = _train_network(trained, x, y, cross_entropy_loss,
                              cfg.retrain_epochs, cfg,

@@ -101,7 +101,8 @@ class TestExitCodes:
                     pipeline.EmptyDatasetError, pipeline.LabelError,
                     pipeline.CoverageError, pipeline.NonFiniteLossError,
                     pipeline.NonFiniteOutputError, pipeline.ConfigError,
-                    pipeline.DatasetSizeError, CheckpointError, ShapeError,
+                    pipeline.DatasetSizeError, pipeline.WeightRangeError,
+                    CheckpointError, ShapeError,
                     manifest.NotRegularFileError):
             assert issubclass(cls, DataError), cls
         assert not issubclass(DegenerateBatchError, DataError)
@@ -787,6 +788,32 @@ class TestPipelineRoundTrip:
         assert "not finite" in err
         assert [str(w.message) for w in caught] == []
         assert not report.exists()
+
+    # training computes in float32: a weight of 1e39 or 1e300, finite in
+    # float64, would overflow when cast, warn and end in a non-finite loss
+    @pytest.mark.parametrize("flags", [[], ["--freeze-trunk"]],
+                             ids=["transfer", "frozen"])
+    @pytest.mark.parametrize("index, value", [
+        (0, 1e39), (0, 1e300), (-1, 1e39), (-1, 1e300)],
+        ids=["trunk-1e+39", "trunk-1e+300", "head-1e+39", "head-1e+300"])
+    def test_retrain_overflowing_weight_is_data_error(self, capsys, workspace,
+                                                      tmp_path, index, value,
+                                                      flags):
+        _, flows_path, _ = workspace
+        net, _ = load_checkpoint(pretrained_model(workspace))
+        net.layers[index].weight.value.flat[0] = value
+        model, out = tmp_path / "big.ckpt", tmp_path / "out.ckpt"
+        save_checkpoint(net, model)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "retrain", "--model", str(model),
+                               "--flows", str(flows_path), "--classes",
+                               "c0,c1", *flags, "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "too large to train in float32" in err
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
 
     # a running variance is a mean of squares; -1e-5 is -eps, where
     # 1/sqrt(var + eps) divides by zero

@@ -479,6 +479,31 @@ class TestNetworkConstruction:
                 assert layer.running_mean.dtype == np.float64
                 assert layer.running_var.dtype == np.float64
 
+    def test_float32_train_pass_stays_float32(self):
+        # training computes in float32 on float64 state: an upcast in a
+        # layer would pass every other test and cost the float32 speed-up,
+        # and a downcast of the state would lose the small Adam updates
+        net = init_params(build_classifier(45, 3), 6)
+        net.train()
+        optimizer = Adam(net.params(), lr=1e-3)
+        h = np.random.default_rng(3).standard_normal((16, 2, 45)) \
+            .astype(np.float32)
+        for i, layer in enumerate(net.layers):
+            h = layer.forward(h, True)
+            assert h.dtype == np.float32, (i, type(layer).__name__)
+        dy = np.ones_like(h)
+        for i, layer in reversed(list(enumerate(net.layers))):
+            dy = layer.backward(dy)
+            assert dy.dtype == np.float32, (i, type(layer).__name__)
+        optimizer.step()
+        for p in net.params():
+            assert p.value.dtype == p.grad.dtype == np.float64
+        assert all(a.dtype == np.float64 for a in optimizer.m + optimizer.v)
+        for layer in net.layers:
+            if isinstance(layer, BatchNorm1d):
+                assert layer.running_mean.dtype == np.float64
+                assert layer.running_var.dtype == np.float64
+
 
 def randomized_stats(net, seed):
     """Random gamma and beta, and running stats from a few train forwards."""

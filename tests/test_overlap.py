@@ -2,7 +2,8 @@
 
 `pipeline._train_network` runs all of a step's work on the calling thread,
 skipping the first layer's input gradient. The reference here is the plain
-schedule, `Network.backward` then `Adam.step`, written out on the test side.
+schedule, `Network.backward` then `Adam.step`, written out on the test side;
+both forward and backpropagate in float32 and take the loss in float64.
 
 The worker (`neural.worker.WORKER`) forwards alternate inference batches
 and hashes inputs. It runs its tasks on the calling thread where only one
@@ -65,7 +66,8 @@ def config(batch_size, lr=1e-3):
 
 def serial_train(net, x, y, loss_fn, epochs, cfg, shuffle_seed):
     """The plain schedule of _train_network: every step's whole backward,
-    then every update."""
+    then every update. A step forwards and backpropagates in float32 and
+    takes the loss in float64."""
     optimizer = Adam(net.params(), lr=cfg.lr)
     rng = np.random.default_rng(shuffle_seed)
     net.train()
@@ -76,8 +78,9 @@ def serial_train(net, x, y, loss_fn, epochs, cfg, shuffle_seed):
             if len(idx) < 2:
                 continue
             optimizer.zero_grad()
-            _, dpred = loss_fn(net.forward(x[idx]), y[idx])
-            net.backward(dpred)
+            pred = net.forward(x[idx].astype(np.float32))
+            _, dpred = loss_fn(pred.astype(np.float64), y[idx])
+            net.backward(dpred.astype(np.float32))
             optimizer.step()
     net.eval()
     return optimizer
@@ -141,6 +144,41 @@ def test_bit_identical_to_serial_schedule(monkeypatch, make, rows, batch,
     assert opt.t == ref_opt.t >= 20
     assert state(net, opt) == state(ref_net, ref_opt)
     assert_idle()
+
+
+@pytest.mark.parametrize("make", [regressor, classifier, head],
+                         ids=["regressor", "classifier", "head"])
+def test_float32_step_gradients_match_float64(monkeypatch, make):
+    # one float32 step of _train_network against the same step in float64:
+    # each gradient within rtol 1e-3, plus 1e-3 of its layer's largest
+    # gradient, as a conv bias before batch norm has a gradient near 0. A
+    # dropped or mis-cast gradient is far outside.
+    rows = 64
+    x, y, loss_fn = data(make, rows, seed=9)
+    grads = []
+
+    class Recorded(Adam):
+        def step(self):
+            grads.append([p.grad.copy() for p in self.params])
+            super().step()
+
+    monkeypatch.setattr(pipeline, "Adam", Recorded)
+    net = make()
+    pipeline._train_network(net, x, y, loss_fn, 1, config(rows), 5)
+    [got] = grads
+    ref = make().train()
+    idx = np.random.default_rng(5).permutation(rows)
+    _, dpred = loss_fn(ref.forward(x[idx]), y[idx])
+    ref.backward(dpred)
+    params = [layer.params() for layer in ref.layers]
+    assert len(got) == sum(map(len, params))
+    got = iter(got)
+    for i, layer_params in enumerate(params):
+        scale = max((float(np.abs(p.grad).max()) for p in layer_params),
+                    default=0.0)
+        for p in layer_params:
+            np.testing.assert_allclose(next(got), p.grad, rtol=1e-3,
+                                       atol=1e-3 * scale, err_msg=str(i))
 
 
 @pytest.mark.parametrize("make", [regressor, head], ids=["conv", "dense"])

@@ -572,8 +572,9 @@ class TestTrainingPipeline:
 
     def test_frozen_trunk_features_match_one_shot_forward(self, corpus,
                                                           monkeypatch):
-        # the trunk features, forwarded INFER_BATCH copies at a time, are
-        # bit for bit those of one forward over every copy
+        # the trunk features, forwarded INFER_BATCH copies at a time in
+        # float32, are bit for bit those of one float32 forward over every
+        # copy
         cfg = tiny_config(copies=20, window=12, freeze_trunk=True,
                           retrain_epochs=1)
         pre, _ = pretrain(corpus, cfg)
@@ -592,7 +593,8 @@ class TestTrainingPipeline:
         clf, _ = retrain(pre, labeled, classes, cfg)
         trunk = Network(clf.trunk, clf.trunk_len).eval()
         assert len(features) == 1
-        assert features[0].tobytes() == trunk.forward(x).tobytes()
+        assert features[0].tobytes() \
+            == trunk.forward(x.astype(np.float32)).tobytes()
 
     def test_retrain_unfrozen_trunk_moves(self, corpus):
         cfg = tiny_config(copies=2, window=12, freeze_trunk=False,
@@ -743,9 +745,11 @@ class TestTrainingMemory:
 
     def test_train_peak_memory_bounded(self):
         # a regressor at batch 128 and window 45, 2 epochs of 256 copies:
-        # 23-25 MiB at the peak (18 MiB on one CPU) when the convs keep
-        # their padded inputs; 34 MiB when they kept their im2col matrices
-        # and every layer its last cache. After training nothing is held.
+        # 11.25 MiB at the peak when a step computes in float32 and the convs
+        # keep their padded inputs; 12.06 MiB with one float64 buffer (conv's
+        # dx_pad), 17.7 MiB with every activation in float64, 34 MiB when
+        # the convs kept their im2col matrices and every layer its last
+        # cache. After training nothing is held.
         rng = np.random.default_rng(0)
         x = rng.standard_normal((256, 2, 45))
         y = rng.standard_normal((256, 24))
@@ -759,7 +763,7 @@ class TestTrainingMemory:
             held, peak = (m - before for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        assert peak <= 29 * 2 ** 20
+        assert peak <= 12 * 2 ** 20  # the float32 peak and 0.75 MiB
         assert held <= 2 ** 20
         assert all(layer._cache is None for layer in net.layers)
 
